@@ -70,7 +70,11 @@ lease:
 # traced bench run that exercises the
 # per-phase JSON breakdown end to end, the batching load sweep, the
 # propagation experiment, the shard scaling sweep and the read-lease
-# experiment at smoke scale, then three 20-seed chaos smoke campaigns:
+# experiment at smoke scale (each fails the gate — bench/main.exe exits
+# 1 — when any of its acceptance verdicts prints FAIL; `dune runtest`
+# already pins their scale-1 measurements against
+# test/golden_experiments.expected), then three 20-seed chaos smoke
+# campaigns:
 # one with every batching knob and cache-update propagation on, one
 # with the LVI service hash-sharded 4 ways so the shard-chaos template
 # attacks the cross-shard commit under the cross-atomicity oracle, and

@@ -1,5 +1,6 @@
-(* Benchmark harness: regenerates every table and figure of the paper's
-   evaluation (see DESIGN.md's experiment index), plus Bechamel
+(* Benchmark front-end: runs the targets of Experiments.Targets (every
+   table and figure of the paper's evaluation and the load sweeps, see
+   DESIGN.md's experiment index), the chaos campaign, and Bechamel
    microbenchmarks of the core primitives.
 
      dune exec bench/main.exe                 # everything at paper volume
@@ -7,10 +8,8 @@
      dune exec bench/main.exe -- --scale 1 fig4   # quick 2k-request run *)
 
 let micro () =
-  print_newline ();
-  print_endline "================================================================";
-  print_endline "Microbenchmarks (Bechamel) — core primitive costs";
-  print_endline "================================================================";
+  Experiments.Harness.heading
+    "Microbenchmarks (Bechamel) — core primitive costs";
   let open Bechamel in
   let open Toolkit in
   (* A VM workload: sum 1..1000 through the interpreter. *)
@@ -134,187 +133,109 @@ let micro () =
         ~rows:(List.sort compare !rows))
     results
 
-let usage () =
-  print_endline
-    "usage: main.exe [--scale F] [--seeds N] \
-     [--shards N] [--json] \
-     [all|fig1|table1|table2|fig4|fig5|fig6|repl|cost|sensitivity|skew|throughput|bootstrap|ablation|analyze|phases|batch|propagate|lease|shard|chaos|micro]";
-  print_endline
-    "  batch: batching load sweep — open-loop Poisson load against the";
-  print_endline
-    "    replicated LVI server with group commit / lock-record flush /";
-  print_endline
-    "    admission / followup coalescing toggled per variant; prints";
-  print_endline
-    "    median+p99+achieved throughput per offered rate and the";
-  print_endline "    batched-vs-unbatched acceptance verdict.";
-  print_endline
-    "  lease: read-lease experiment — read-heavy zipf mix; read-only";
-  print_endline
-    "    median latency with leases off / on (revocation) / on";
-  print_endline
-    "    (expiry-wait only), lease-local and settle counters, plus the";
-  print_endline "    >=40% read-only median reduction acceptance verdict.";
-  print_endline
-    "  propagate: cache-update propagation experiment — multi-site";
-  print_endline
-    "    shared-key workload; speculation-success rate and latency with";
-  print_endline
-    "    propagation off / Nagle window sweep / invalidate-only, plus";
-  print_endline "    the on-vs-off acceptance verdict.";
-  print_endline
-    "  shard: shard scaling sweep — prefix-disjoint key families over";
-  print_endline
-    "    1/2/4 LVI shards (one replicated lock cluster each), peak";
-  print_endline
-    "    sustainable throughput per shard count, a cross-shard transfer";
-  print_endline
-    "    mix at 4 shards, and the one-round-trip / >=3x scaling";
-  print_endline "    acceptance verdicts.";
-  print_endline
-    "  analyze: f^rw predict cost raw vs. residual-optimized, and the";
-  print_endline
-    "    read-only LVI fast-path latency ablation (on/off, singleton and";
-  print_endline "    replicated).";
-  print_endline
-    "  chaos: fault-plan campaign over {social,forum} x \
-     {singleton,replicated};";
-  print_endline
-    "    --seeds N   seeds per grid cell (default 50 = 200 sweeps total;";
-  print_endline
-    "                'make check' smoke-tests with --seeds 20); each seed";
-  print_endline
-    "    runs every default template (followup-storm, message-chaos,";
-  print_endline
-    "    cache-loss, server-restart, partition-heal, raft-churn,";
-  print_endline
-    "    everything), then a protocol mutation is injected to prove the";
-  print_endline "    invariant oracle catches and shrinks real bugs.";
-  print_endline
-    "    --batching  run every cell with all batching knobs on (group";
-  print_endline
-    "                commit, lock flush, admission, followup coalescing).";
-  print_endline
-    "    --propagation  run every cell with asynchronous cache-update";
-  print_endline
-    "                propagation on; the propagation-chaos template then";
-  print_endline
-    "                stresses the channel with lost/duplicated/delayed";
-  print_endline "                cache_update messages.";
-  print_endline
-    "    --shards N  run every cell with the LVI service hash-sharded N";
-  print_endline
-    "                ways; the shard-chaos template then attacks the";
-  print_endline
-    "                cross-shard commit (delayed prepares, dropped";
-  print_endline
-    "                decisions, shard restarts, leader crashes) under";
-  print_endline "                the cross-atomicity oracle.";
-  print_endline
-    "    --leases    run every cell with read leases on; the lease-chaos";
-  print_endline
-    "                template then attacks the settle protocol (lost/";
-  print_endline
-    "                duplicated/delayed revocations, cache wipes, late";
-  print_endline "                cache updates).";
-  print_endline
-    "  --json: additionally write each measurement-returning experiment's";
-  print_endline
-    "    results as BENCH_<experiment>.json (medians, p99, throughput,";
-  print_endline "    acceptance flags, run config).";
-  exit 1
+(* Flags, set by the command line below. *)
+let scale = ref 5.0 (* reproduces the paper's 10,000 requests per deployment *)
+let seeds = ref 50
+let batching = ref false
+let propagation = ref false
+let leases = ref false
+let json = ref false
+let shards = ref 1
 
-let () =
-  (* Default 5.0 reproduces the paper's 10,000 requests per deployment. *)
-  let scale = ref 5.0 in
-  let seeds = ref 50 in
-  let batching = ref false in
-  let propagation = ref false in
-  let leases = ref false in
-  let json = ref false in
-  let shards = ref 1 in
-  let targets = ref [] in
-  let rec parse = function
-    | [] -> ()
-    | "--batching" :: rest ->
-        batching := true;
-        parse rest
-    | "--propagation" :: rest ->
-        propagation := true;
-        parse rest
-    | "--leases" :: rest ->
-        leases := true;
-        parse rest
-    | "--json" :: rest ->
-        json := true;
-        parse rest
-    | "--scale" :: v :: rest ->
-        (match float_of_string_opt v with
-        | Some f when f > 0.0 -> scale := f
-        | _ -> usage ());
-        parse rest
-    | "--seeds" :: v :: rest ->
-        (match int_of_string_opt v with
-        | Some n when n > 0 -> seeds := n
-        | _ -> usage ());
-        parse rest
-    | "--shards" :: v :: rest ->
-        (match int_of_string_opt v with
-        | Some n when n > 0 -> shards := n
-        | _ -> usage ());
-        parse rest
-    | arg :: rest ->
-        targets := arg :: !targets;
-        parse rest
-  in
-  parse (List.tl (Array.to_list Sys.argv));
-  let targets = if !targets = [] then [ "all" ] else List.rev !targets in
-  let scale = !scale in
-  let emit experiment measurements =
-    if !json then begin
-      let config =
-        [
-          ("scale", Printf.sprintf "%g" scale);
-          ("seeds", string_of_int !seeds);
-          ("shards", string_of_int !shards);
-        ]
-      in
-      let path = Experiments.Runner.write_json ~experiment ~config measurements in
-      Printf.printf "wrote %s\n" path
-    end
-  in
-  let eval_data = lazy (Experiments.Figures.collect_eval ~scale ()) in
-  List.iter
-    (fun target ->
-      match target with
-      | "all" ->
-          Experiments.Figures.all ~scale ();
-          micro ()
-      | "fig1" -> emit "fig1" (Experiments.Figures.fig1 ~scale ())
-      | "table1" -> emit "table1" (Experiments.Figures.table1 ())
-      | "table2" -> ignore (Experiments.Figures.table2 ())
-      | "fig4" -> ignore (Experiments.Figures.fig4 (Lazy.force eval_data))
-      | "fig5" -> ignore (Experiments.Figures.fig5 (Lazy.force eval_data))
-      | "fig6" -> ignore (Experiments.Figures.fig6 (Lazy.force eval_data))
-      | "repl" -> ignore (Experiments.Figures.replication ())
-      | "sensitivity" -> ignore (Experiments.Figures.sensitivity ())
-      | "skew" -> ignore (Experiments.Figures.skew ())
-      | "throughput" -> ignore (Experiments.Figures.throughput ())
-      | "bootstrap" -> ignore (Experiments.Figures.bootstrap ())
-      | "cost" -> ignore (Experiments.Figures.cost ())
-      | "ablation" -> ignore (Experiments.Figures.ablation ~scale ())
-      | "analyze" -> Experiments.Analyze_exp.run ~scale ()
-      | "phases" -> ignore (Experiments.Figures.phases ~scale ())
-      | "batch" -> emit "batch" (Experiments.Batch_exp.run ~scale ())
-      | "propagate" -> emit "propagate" (Experiments.Propagate_exp.run ~scale ())
-      | "lease" -> emit "lease" (Experiments.Lease_exp.run ~scale ())
-      | "shard" -> emit "shard" (Experiments.Shard_exp.run ~scale ())
-      | "chaos" ->
+let targets =
+  Experiments.Targets.all ()
+  @ [
+      Experiments.Targets.v "chaos"
+        "fault-plan campaign over {social,forum} x {singleton,replicated}"
+        (fun _ ->
           let violations =
             Experiments.Chaos_exp.run ~seeds:!seeds ~batching:!batching
               ~propagation:!propagation ~leases:!leases ~shards:!shards ()
           in
-          if violations > 0 then exit 2
-      | "micro" -> micro ()
-      | _ -> usage ())
-    targets
+          if violations > 0 then exit 2;
+          []);
+      Experiments.Targets.v "micro"
+        "Bechamel microbenchmarks of core primitives" (fun _ ->
+          micro ();
+          []);
+    ]
+
+let usage () =
+  print_string
+    ("usage: main.exe [--scale F] [--seeds N] [--shards N] [--batching]\n\
+     \       [--propagation] [--leases] [--json] [TARGET...]\n\
+      (no target: all, then micro)\n"
+    ^ Experiments.Targets.usage targets
+    ^ "  --scale F      multiply request volume (default 5, the paper's 10k)\n\
+      \  --json         also write each experiment's measurements as\n\
+      \                 BENCH_<target>.json\n\
+      \  chaos only: --seeds N per grid cell (default 50); --batching,\n\
+      \  --propagation, --leases and --shards N turn the matching feature on\n\
+      \  in every cell, and its chaos template attacks it.\n\
+      exit status: 1 when an acceptance verdict fails, 2 on chaos\n\
+      violations.\n");
+  exit 1
+
+let () =
+  let switches =
+    [
+      ("--batching", batching);
+      ("--propagation", propagation);
+      ("--leases", leases);
+      ("--json", json);
+    ]
+  in
+  let positive r of_string zero v =
+    match of_string v with Some x when x > zero -> r := x | _ -> usage ()
+  in
+  let rec parse = function
+    | [] -> []
+    | s :: rest when List.mem_assoc s switches ->
+        List.assoc s switches := true;
+        parse rest
+    | "--scale" :: v :: rest ->
+        positive scale float_of_string_opt 0.0 v;
+        parse rest
+    | "--seeds" :: v :: rest ->
+        positive seeds int_of_string_opt 0 v;
+        parse rest
+    | "--shards" :: v :: rest ->
+        positive shards int_of_string_opt 0 v;
+        parse rest
+    | name :: rest -> (
+        match
+          List.find_opt (fun t -> t.Experiments.Targets.name = name) targets
+        with
+        | Some t -> t :: parse rest
+        | None -> usage ())
+  in
+  let selected =
+    match parse (List.tl (Array.to_list Sys.argv)) with
+    | [] ->
+        List.filter
+          (fun t -> List.mem t.Experiments.Targets.name [ "all"; "micro" ])
+          targets
+    | selected -> selected
+  in
+  let failed =
+    List.concat_map
+      (fun (t : Experiments.Targets.t) ->
+        let ms = t.run !scale in
+        if !json && ms <> [] then begin
+          let config =
+            [
+              ("scale", Printf.sprintf "%g" !scale);
+              ("seeds", string_of_int !seeds);
+              ("shards", string_of_int !shards);
+            ]
+          in
+          Printf.printf "wrote %s\n"
+            (Experiments.Runner.write_json ~experiment:t.name ~config ms)
+        end;
+        Experiments.Harness.failed ms)
+      selected
+  in
+  if failed <> [] then begin
+    prerr_endline ("acceptance failed: " ^ String.concat ", " failed);
+    exit 1
+  end

@@ -1,7 +1,8 @@
 (* Command-line interface to the Radical reproduction.
 
      radical_cli experiments [TARGETS] [--scale F]
-         regenerate the paper's tables and figures (default: all)
+         any target of Experiments.Targets: the paper's tables and
+         figures (default: all), analyze and the load sweeps
      radical_cli run --app APP --system SYS [--requests N] [--seed N]
          one deployment run with a latency summary
      radical_cli inspect FUNCTION
@@ -37,44 +38,33 @@ let verbose_arg =
   Arg.(value & flag & info [ "verbose"; "v" ] ~doc:"Print protocol-event logs.")
 
 
-let experiment_targets =
-  [ "all"; "fig1"; "table1"; "table2"; "fig4"; "fig5"; "fig6"; "repl"; "cost"; "sensitivity"; "skew"; "throughput"; "bootstrap"; "ablation"; "phases" ]
-
 let experiments_cmd =
-  let targets =
-    Arg.(value & pos_all (enum (List.map (fun t -> (t, t)) experiment_targets)) [ "all" ]
-         & info [] ~docv:"TARGET")
+  let targets = Experiments.Targets.all () in
+  let targets_arg =
+    Arg.(value
+         & pos_all
+             (enum
+                (List.map (fun t -> (t.Experiments.Targets.name, t)) targets))
+             [ List.hd targets ]
+         & info [] ~docv:"TARGET" ~doc:"Targets to run (see $(b,TARGETS)).")
   in
   let scale =
     Arg.(value & opt float 1.0 & info [ "scale" ] ~docv:"F"
            ~doc:"Multiply request volume (5.0 reproduces the paper's 10k).")
   in
   let run targets scale =
-    let eval_data = lazy (Experiments.Figures.collect_eval ~scale ()) in
-    List.iter
-      (fun t ->
-        match t with
-        | "all" -> Experiments.Figures.all ~scale ()
-        | "fig1" -> ignore (Experiments.Figures.fig1 ~scale ())
-        | "table1" -> ignore (Experiments.Figures.table1 ())
-        | "table2" -> ignore (Experiments.Figures.table2 ())
-        | "fig4" -> ignore (Experiments.Figures.fig4 (Lazy.force eval_data))
-        | "fig5" -> ignore (Experiments.Figures.fig5 (Lazy.force eval_data))
-        | "fig6" -> ignore (Experiments.Figures.fig6 (Lazy.force eval_data))
-        | "repl" -> ignore (Experiments.Figures.replication ())
-        | "sensitivity" -> ignore (Experiments.Figures.sensitivity ())
-        | "skew" -> ignore (Experiments.Figures.skew ())
-        | "throughput" -> ignore (Experiments.Figures.throughput ())
-        | "bootstrap" -> ignore (Experiments.Figures.bootstrap ())
-        | "cost" -> ignore (Experiments.Figures.cost ())
-        | "ablation" -> ignore (Experiments.Figures.ablation ~scale ())
-        | "phases" -> ignore (Experiments.Figures.phases ~scale ())
-        | _ -> ())
-      targets
+    let ms =
+      List.concat_map (fun t -> t.Experiments.Targets.run scale) targets
+    in
+    if Experiments.Harness.failed ms <> [] then exit 1
   in
   Cmd.v
-    (Cmd.info "experiments" ~doc:"Regenerate the paper's tables and figures")
-    Term.(const run $ targets $ scale)
+    (Cmd.info "experiments"
+       ~doc:"Regenerate the paper's tables and figures and the load sweeps"
+       ~man:
+         (`S "TARGETS"
+         :: List.map (fun t -> `I (t.Experiments.Targets.name, t.doc)) targets))
+    Term.(const run $ targets_arg $ scale)
 
 let apps =
   [

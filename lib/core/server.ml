@@ -51,7 +51,6 @@ let default_propagation = Server_config.default_propagation
 type leases = Server_config.leases = {
   enabled : bool;
   duration : float;
-  skew : float;
   revoke : bool;
   revoke_timeout : float;
 }
@@ -73,7 +72,6 @@ let default_tuning = Server_config.default_tuning
 type config = Server_config.config = {
   loc : Net.Location.t;
   intent_timeout : float;
-  adaptive_timeout : bool;
   mode : mode;
   batching : batching;
   propagation : propagation;

@@ -89,13 +89,9 @@ type leases = {
   duration : float;
       (** Lease term (virtual ms). A grant on key [k] to site [S] is
           the server's promise that no write to [k] validates before
-          the lease is revoked-and-acked or [duration + skew] has
+          the lease is revoked-and-acked or [duration] plus the
+          clock-skew bound ε ({!Server_lease_authority.skew}, 5 ms) has
           passed since the grant. *)
-  skew : float;
-      (** ε, the clock-skew bound: the extra margin the write path
-          waits past a lease's expiry before proceeding without an
-          acknowledged revocation. The simulation's clock is global, so
-          this models the safety margin a real deployment needs. *)
   revoke : bool;
       (** [true]: the write path revokes leases from holding sites and
           waits for acknowledgements, falling back to the expiry wait
@@ -111,7 +107,7 @@ val no_leases : leases
 (** Disabled — the seed behaviour. *)
 
 val default_leases : leases
-(** Enabled: 2 s leases, ε = 5 ms, revocation on with a 400 ms RPC
+(** Enabled: 2 s leases, revocation on with a 400 ms RPC
     timeout. The long term maximizes read locality; revocation keeps
     writes to leased keys at ~one site round trip regardless, so only
     the no-revocation fallback ever feels the full term. *)
@@ -145,12 +141,11 @@ type config = {
   loc : Net.Location.t;
   intent_timeout : float;
       (** Ceiling (virtual ms) before an unanswered write intent
-          triggers deterministic re-execution. *)
-  adaptive_timeout : bool;
-      (** Scale each function's timer to 4× its observed followup delay
-          (EWMA), bounded by [200, intent_timeout] — §3.4's "timer
-          longer than the expected execution latency of the function".
-          Until a function has history, the ceiling applies. *)
+          triggers deterministic re-execution. Each function's timer
+          adapts to 4× its observed followup delay (EWMA), bounded by
+          [200, intent_timeout] — §3.4's "timer longer than the expected
+          execution latency of the function". Until a function has
+          history, the ceiling applies. *)
   mode : mode;
   batching : batching;
   propagation : propagation;

@@ -57,11 +57,6 @@ type leases = {
          write path stays well under intent timers; long enough that a
          read-heavy site re-validates rarely (grants refresh on every
          validated read reply). *)
-  skew : float;
-      (* ε: the clock-skew bound a real deployment would need. The
-         virtual clock is global, so expiry alone would be safe here;
-         the write path still waits [duration + skew] past the grant to
-         model the real protocol's safety margin. *)
   revoke : bool;
       (* true: the write path fires revocations to holding sites and
          waits for the acks, falling back to the expiry wait only for
@@ -77,7 +72,6 @@ let no_leases =
   {
     enabled = false;
     duration = 0.0;
-    skew = 0.0;
     revoke = true;
     revoke_timeout = 0.0;
   }
@@ -86,7 +80,6 @@ let default_leases =
   {
     enabled = true;
     duration = 2000.0;
-    skew = 5.0;
     revoke = true;
     revoke_timeout = 400.0;
   }
@@ -118,7 +111,6 @@ let default_tuning =
 type config = {
   loc : Net.Location.t;
   intent_timeout : float;
-  adaptive_timeout : bool;
   mode : mode;
   batching : batching;
   propagation : propagation;
@@ -130,7 +122,6 @@ let default_config =
   {
     loc = Net.Location.near_storage;
     intent_timeout = 1500.0;
-    adaptive_timeout = true;
     mode = Singleton;
     batching = no_batching;
     propagation = no_propagation;

@@ -30,7 +30,6 @@ val default_propagation : propagation
 type leases = {
   enabled : bool;
   duration : float;
-  skew : float;
   revoke : bool;
   revoke_timeout : float;
 }
@@ -59,7 +58,6 @@ val default_tuning : tuning
 type config = {
   loc : Net.Location.t;
   intent_timeout : float;
-  adaptive_timeout : bool;
   mode : mode;
   batching : batching;
   propagation : propagation;

@@ -63,6 +63,8 @@ let grant_leases (t : t) ~site keys =
     grants
   end
 
+let skew = 5.0
+
 (* Write-path barrier: before a write to [keys] may validate or apply,
    every outstanding lease covering them must be dead. With revocation
    on, fire one revocation RPC per holding site in parallel and wait
@@ -123,7 +125,7 @@ let settle_write_leases ?(span = Tracer.none) (t : t) keys =
                   List.fold_left
                     (fun acc (_, until) -> Float.max acc until)
                     0.0 unsettled
-                  +. lc.skew
+                  +. skew
                 in
                 let wait = horizon -. Engine.now () in
                 if wait > 0.0 then begin

@@ -16,6 +16,12 @@ val grant_leases :
     not the server's own location. Keys whose version is no longer
     primary's, or that are write-locked at this instant, are skipped. *)
 
+val skew : float
+(** ε, the clock-skew bound (5 ms): the extra margin the write path
+    waits past a lease's expiry before proceeding without an
+    acknowledged revocation. The simulation's clock is global, so this
+    models the safety margin a real deployment needs. *)
+
 val settle_write_leases :
   ?span:Metrics.Tracer.span -> Server_state.t -> string list -> unit
 (** Write-path barrier: block until every outstanding lease covering the

@@ -1,16 +1,6 @@
 module Derive = Analyzer.Derive
 module Optimize = Analyzer.Optimize
 
-let scaled scale n = max 1 (int_of_float (float_of_int n *. scale))
-
-let banner title =
-  print_newline ();
-  print_endline
-    "================================================================";
-  print_endline title;
-  print_endline
-    "================================================================"
-
 (* ------------------------------------------------------------------ *)
 (* Part 1: predict cost, raw residual vs. optimized residual.          *)
 
@@ -75,8 +65,8 @@ let classification_str (d : Derive.t) =
   Format.asprintf "%a" Derive.pp_classification d.classification
 
 let predict_cost ~scale ~seed () =
-  banner "analyze: f^rw predict cost, raw vs. residual-optimized";
-  let n = scaled scale 200 in
+  Harness.heading "analyze: f^rw predict cost, raw vs. residual-optimized";
+  let n = Harness.scaled scale 200 in
   let rng = Sim.Rng.create seed in
   let rows = ref [] in
   let wall_raw = ref 0.0 and wall_opt = ref 0.0 in
@@ -193,9 +183,9 @@ let digest_heavy_forum =
   }
 
 let fast_path ~scale ~seed () =
-  banner
+  Harness.heading
     "analyze: read-only LVI fast path (forum + 50% digest, 3 seeds merged)";
-  let rpc = scaled scale 40 in
+  let rpc = Harness.scaled scale 40 in
   let cases =
     let base = Radical.Framework.default_config in
     let repl =

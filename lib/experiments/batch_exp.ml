@@ -1,18 +1,9 @@
 open Sim
-module Location = Net.Location
-module Transport = Net.Transport
 module Stats = Metrics.Stats
 module Table = Metrics.Table
 module Tracer = Metrics.Tracer
 module Framework = Radical.Framework
 module Server = Radical.Server
-
-type measurement = string * float
-
-let heading title =
-  Printf.printf "\n================================================================\n";
-  Printf.printf "%s\n" title;
-  Printf.printf "================================================================\n"
 
 (* --- synthetic mixed workload ----------------------------------------
 
@@ -26,57 +17,7 @@ let heading title =
 let n_accounts = 500
 let n_walls = 50
 
-let key prefix input = Fdsl.Ast.(Concat [ Str prefix; Input input ])
-
-let pay_fn =
-  let open Fdsl.Ast in
-  {
-    fn_name = "pay";
-    params = [ "src"; "dst" ];
-    body =
-      Compute
-        ( 1.0,
-          Let
-            ( "s",
-              Read (key "bal:" "src"),
-              Let
-                ( "d",
-                  Read (key "bal:" "dst"),
-                  Seq
-                    [
-                      Write (key "bal:" "src", Binop (Sub, Var "s", Int 1L));
-                      Write (key "bal:" "dst", Binop (Add, Var "d", Int 1L));
-                      Var "d";
-                    ] ) ) );
-  }
-
-let post_fn =
-  let open Fdsl.Ast in
-  {
-    fn_name = "post";
-    params = [ "w"; "txt" ];
-    body =
-      Compute
-        ( 1.0,
-          Let
-            ( "cur",
-              Read (key "wall:" "w"),
-              Seq
-                [
-                  Write (key "wall:" "w", Concat [ Var "cur"; Str "|"; Input "txt" ]);
-                  Var "cur";
-                ] ) );
-  }
-
-let read_wall_fn =
-  let open Fdsl.Ast in
-  {
-    fn_name = "read_wall";
-    params = [ "w" ];
-    body = Compute (0.5, Read (key "wall:" "w"));
-  }
-
-let funcs = [ pay_fn; post_fn; read_wall_fn ]
+let funcs = Harness.transfer "pay" ~src:"bal:" ~dst:"bal:" :: Harness.wall_fns
 
 let seed_data =
   List.init n_accounts (fun i -> (Printf.sprintf "bal:a%d" i, Dval.int 100))
@@ -87,9 +28,11 @@ let seed_data =
 type variant = {
   v_name : string;
   v_batching : Server.batching;
-  v_fu_window : float;
-  v_fu_piggyback : bool;
+  v_followups : bool; (* near-user followup coalescing (2 ms) + piggyback *)
 }
+
+let variant ?(followups = false) v_name v_batching =
+  { v_name; v_batching; v_followups = followups }
 
 (* Modeled durable-append cost per Raft log entry (virtual ms). Without
    it the simulated fsync is free and every unbatched proposal commits
@@ -101,224 +44,118 @@ let append_cost = 1.0
 
 let replicated_variants =
   [
-    {
-      v_name = "unbatched";
-      v_batching = { Server.no_batching with append_cost };
-      v_fu_window = 0.0;
-      v_fu_piggyback = false;
-    };
-    {
-      v_name = "group-commit";
-      v_batching = { Server.no_batching with group_commit = true; append_cost };
-      v_fu_window = 0.0;
-      v_fu_piggyback = false;
-    };
-    {
-      v_name = "gc+lock-flush";
-      v_batching =
-        {
-          Server.no_batching with
-          group_commit = true;
-          request_flush = true;
-          persist_window = 2.0;
-          append_cost;
-        };
-      v_fu_window = 0.0;
-      v_fu_piggyback = false;
-    };
-    {
-      v_name = "all-on";
-      v_batching = { Server.full_batching with append_cost };
-      v_fu_window = 2.0;
-      v_fu_piggyback = true;
-    };
+    variant "unbatched" { Server.no_batching with append_cost };
+    variant "group-commit"
+      { Server.no_batching with group_commit = true; append_cost };
+    variant "gc+lock-flush"
+      {
+        Server.no_batching with
+        group_commit = true;
+        request_flush = true;
+        persist_window = 2.0;
+        append_cost;
+      };
+    variant "all-on" ~followups:true { Server.full_batching with append_cost };
   ]
 
 let singleton_variants =
   [
-    {
-      v_name = "unbatched";
-      v_batching = Server.no_batching;
-      v_fu_window = 0.0;
-      v_fu_piggyback = false;
-    };
-    {
-      v_name = "all-on";
-      v_batching = Server.full_batching;
-      v_fu_window = 2.0;
-      v_fu_piggyback = true;
-    };
+    variant "unbatched" Server.no_batching;
+    variant "all-on" ~followups:true Server.full_batching;
   ]
 
 (* --- one sweep cell --------------------------------------------------- *)
 
 type cell = {
-  c_variant : string;
-  c_offered : float; (* requests per virtual second *)
-  c_achieved : float; (* completions / time-to-last-completion *)
-  c_median : float;
-  c_p99 : float;
-  c_requests : int;
-  c_errors : int;
-  c_batch_mean : float; (* raft_entry commands per entry; nan singleton *)
-  c_queue_p99 : float; (* raft_entry proposal queueing delay; nan singleton *)
+  variant : string;
+  offered : float; (* requests per virtual second *)
+  load : Harness.load;
+  batch_mean : float; (* raft_entry commands per entry; nan singleton *)
+  queue_p99 : float; (* raft_entry proposal queueing delay; nan singleton *)
 }
 
-let run_cell ?(seed = 42) ~mode ~variant ~rate ~duration () =
-  let engine = Engine.create ~seed () in
-  let out = ref None in
-  Engine.run engine (fun () ->
-      let rng = Engine.rng () in
-      let net =
-        Transport.create ~jitter_sigma:0.05 ~rng:(Rng.split rng) ()
-      in
-      let tracer = Tracer.create () in
-      let config =
-        {
-          Framework.default_config with
-          server =
-            { Server.default_config with mode; batching = variant.v_batching };
-          fu_window = variant.v_fu_window;
-          fu_piggyback = variant.v_fu_piggyback;
-        }
-      in
-      let fw = Framework.create ~config ~tracer ~net ~funcs ~data:seed_data () in
-      (match mode with
-      | Server.Replicated _ -> Engine.sleep 800.0 (* raft warm-up *)
-      | Server.Singleton -> ());
-      let sites = Framework.locations fw in
-      let n_sites = List.length sites in
-      let zipf = Workload.Zipf.create ~n:n_accounts ~theta:0.2 in
-      let mix =
-        Workload.Mix.create [ (`Pay, 0.45); (`Post, 0.20); (`Read, 0.35) ]
-      in
-      let wrng = Rng.split rng in
-      let lat = Stats.create () in
-      let errors = ref 0 in
-      let t0 = Engine.now () in
-      let t_last = ref t0 in
-      let n =
-        Workload.Driver.run_open ~rate ~duration ~rng:(Rng.split rng)
-          (fun ~arrival ->
-            let from = List.nth sites (arrival mod n_sites) in
-            let fn, args =
-              match Workload.Mix.sample mix wrng with
-              | `Pay ->
-                  let src = Workload.Zipf.sample zipf wrng in
-                  let dst =
-                    (src + 1 + Rng.int wrng (n_accounts - 1)) mod n_accounts
-                  in
-                  ( "pay",
-                    [
-                      Dval.Str (Printf.sprintf "a%d" src);
-                      Dval.Str (Printf.sprintf "a%d" dst);
-                    ] )
-              | `Post ->
-                  ( "post",
-                    [
-                      Dval.Str (Printf.sprintf "w%d" (Rng.int wrng n_walls));
-                      Dval.Str "x";
-                    ] )
-              | `Read ->
-                  ( "read_wall",
-                    [ Dval.Str (Printf.sprintf "w%d" (Rng.int wrng n_walls)) ]
-                  )
-            in
-            let o = Framework.invoke fw ~from fn args in
-            if Result.is_error o.Radical.Runtime.value then incr errors;
-            Stats.add lat o.latency;
-            t_last := Float.max !t_last (Engine.now ()))
-      in
-      Framework.stop fw;
-      let elapsed_s = Float.max 1e-9 ((!t_last -. t0) /. 1000.0) in
-      let hist label =
-        (List.assoc_opt label (Tracer.batch_stats tracer),
-         List.assoc_opt label (Tracer.queue_stats tracer))
-      in
-      let batch_mean, queue_p99 =
-        match mode with
-        | Server.Singleton -> (nan, nan)
-        | Server.Replicated _ -> (
-            match hist "raft_entry" with
-            | Some b, Some q -> (Stats.mean b, Stats.p99 q)
-            | Some b, None -> (Stats.mean b, nan)
-            | _ -> (nan, nan))
-      in
-      out :=
-        Some
-          {
-            c_variant = variant.v_name;
-            c_offered = rate;
-            c_achieved = float_of_int n /. elapsed_s;
-            c_median = Stats.median lat;
-            c_p99 = Stats.p99 lat;
-            c_requests = n;
-            c_errors = !errors;
-            c_batch_mean = batch_mean;
-            c_queue_p99 = queue_p99;
-          });
-  match !out with Some c -> c | None -> assert false
+let run_cell ~seed ~mode ~variant ~rate ~duration =
+  let tracer = Tracer.create () in
+  let config =
+    {
+      Framework.default_config with
+      server =
+        { Server.default_config with mode; batching = variant.v_batching };
+      fu_window = (if variant.v_followups then 2.0 else 0.0);
+      fu_piggyback = variant.v_followups;
+    }
+  in
+  let load =
+    Harness.deploy ~seed ~tracer ~config ~funcs ~data:seed_data
+      (fun ~rng ~fw ->
+        (match mode with
+        | Server.Replicated _ -> Engine.sleep 800.0 (* raft warm-up *)
+        | Server.Singleton -> ());
+        let zipf = Workload.Zipf.create ~n:n_accounts ~theta:0.2 in
+        let mix =
+          Workload.Mix.create [ (`Pay, 0.45); (`Post, 0.20); (`Read, 0.35) ]
+        in
+        Harness.open_loop ~rng ~fw ~rate ~duration (fun wrng ->
+            match Workload.Mix.sample mix wrng with
+            | `Pay ->
+                ( "pay",
+                  Harness.transfer_args wrng ~n:n_accounts
+                    (Workload.Zipf.sample zipf wrng) )
+            | `Post ->
+                ( "post",
+                  [
+                    Dval.Str (Printf.sprintf "w%d" (Rng.int wrng n_walls));
+                    Dval.Str "x";
+                  ] )
+            | `Read ->
+                ( "read_wall",
+                  [ Dval.Str (Printf.sprintf "w%d" (Rng.int wrng n_walls)) ] )))
+  in
+  let batch_mean, queue_p99 =
+    match
+      ( mode,
+        List.assoc_opt "raft_entry" (Tracer.batch_stats tracer),
+        List.assoc_opt "raft_entry" (Tracer.queue_stats tracer) )
+    with
+    | Server.Singleton, _, _ -> (nan, nan)
+    | Server.Replicated _, Some b, Some q -> (Stats.mean b, Stats.p99 q)
+    | Server.Replicated _, Some b, None -> (Stats.mean b, nan)
+    | Server.Replicated _, None, _ -> (nan, nan)
+  in
+  { variant = variant.v_name; offered = rate; load; batch_mean; queue_p99 }
 
 (* --- the sweep -------------------------------------------------------- *)
 
-let rate_label r = Printf.sprintf "%.0f/s" r
+let load c = c.load
+let median = Harness.median load
+let p99 = Harness.p99 load
+let achieved = Harness.achieved load
 
-(* Highest offered rate before the latency knee: a cell is sustainable
-   while its median stays within 2x the variant's own lowest-rate
-   median (the classic saturation criterion — queueing delay, not the
-   raw latency floor, is what blows up past the knee). 0 when even the
-   lowest rate has collapsed. *)
-let peak_sustainable cells =
-  match cells with
-  | [] -> 0.0
-  | first :: _ ->
-      let base = first.c_median in
-      List.fold_left
-        (fun acc c ->
-          if c.c_median <= 2.0 *. base then Float.max acc c.c_offered else acc)
-        0.0 cells
+let columns =
+  [
+    Harness.column "variant" (fun c -> c.variant);
+    Harness.column "offered" (fun c -> Harness.rate_label c.offered);
+    achieved;
+    median;
+    p99;
+    Harness.requests load;
+    Harness.errors load;
+    Harness.decimal "cmds/entry" (fun c -> c.batch_mean);
+    Harness.ms "append q p99" (fun c -> c.queue_p99);
+  ]
 
-let print_cells mode_name cells =
-  Table.print
-    ~header:
-      [
-        "variant"; "offered"; "achieved"; "median"; "p99"; "req"; "err";
-        "cmds/entry"; "append q p99";
-      ]
-    ~rows:
-      (List.map
-         (fun c ->
-           [
-             c.c_variant;
-             rate_label c.c_offered;
-             Printf.sprintf "%.0f/s" c.c_achieved;
-             Table.ms c.c_median;
-             Table.ms c.c_p99;
-             string_of_int c.c_requests;
-             string_of_int c.c_errors;
-             (if Float.is_nan c.c_batch_mean then "-"
-              else Printf.sprintf "%.1f" c.c_batch_mean);
-             (if Float.is_nan c.c_queue_p99 then "-"
-              else Table.ms c.c_queue_p99);
-           ])
-         cells);
-  ignore mode_name
+let measurements_of mode_name =
+  Harness.measurements
+    ~prefix:(fun c ->
+      Printf.sprintf "batch.%s.%s.r%.0f" mode_name c.variant c.offered)
+    [ median; p99; achieved ]
 
-let measurements_of prefix cells =
-  List.concat_map
-    (fun c ->
-      let p =
-        Printf.sprintf "batch.%s.%s.r%.0f" prefix c.c_variant c.c_offered
-      in
-      [
-        (p ^ ".median_ms", c.c_median);
-        (p ^ ".p99_ms", c.c_p99);
-        (p ^ ".achieved_rps", c.c_achieved);
-      ])
-    cells
+let peak cells =
+  Harness.peak_sustainable
+    (List.map (fun c -> (c.offered, Stats.median c.load.lat)) cells)
 
 let run ?(scale = 1.0) ?(seed = 42) () =
-  heading
+  Harness.heading
     (Printf.sprintf
        "Batching load sweep — group commit / lock-record flush /\n\
         conflict-aware admission / followup coalescing, open-loop Poisson\n\
@@ -332,69 +169,57 @@ let run ?(scale = 1.0) ?(seed = 42) () =
      time-to-last-completion, so a variant that falls behind the\n\
      offered rate shows it directly.\n"
     duration;
+  let sweep mode variants rates =
+    List.concat_map
+      (fun variant ->
+        List.map
+          (fun rate -> run_cell ~seed ~mode ~variant ~rate ~duration)
+          rates)
+      variants
+  in
 
   Printf.printf "\n-- singleton server (batching should cost nothing) --\n";
-  let single_cells =
-    List.concat_map
-      (fun v ->
-        List.map
-          (fun rate ->
-            run_cell ~seed ~mode:Server.Singleton ~variant:v ~rate ~duration ())
-          single_rates)
-      singleton_variants
-  in
-  print_cells "singleton" single_cells;
+  let single_cells = sweep Server.Singleton singleton_variants single_rates in
+  Harness.table columns single_cells;
 
   Printf.printf "\n-- replicated server (az_rtt 1.5 ms, append %.1f ms) --\n"
     append_cost;
   let repl_cells =
-    List.concat_map
-      (fun v ->
-        List.map
-          (fun rate ->
-            run_cell ~seed
-              ~mode:(Server.Replicated { az_rtt = 1.5 })
-              ~variant:v ~rate ~duration ())
-          repl_rates)
-      replicated_variants
+    sweep (Server.Replicated { az_rtt = 1.5 }) replicated_variants repl_rates
   in
-  print_cells "replicated" repl_cells;
+  Harness.table columns repl_cells;
 
-  let cells_of name =
-    List.filter (fun c -> c.c_variant = name) repl_cells
+  let cells_of name = List.filter (fun c -> c.variant = name) repl_cells in
+  let top_rate = List.fold_left Float.max 0.0 repl_rates in
+  let top_median name =
+    Stats.median
+      (List.find (fun c -> c.offered = top_rate) (cells_of name)).load.lat
   in
-  let unbatched = cells_of "unbatched" in
-  let gc = cells_of "group-commit" in
-  let top_rate = List.fold_left (fun a r -> Float.max a r) 0.0 repl_rates in
-  let at_top cells =
-    List.find (fun c -> c.c_offered = top_rate) cells
-  in
-  let u_top = at_top unbatched and g_top = at_top gc in
-  let u_peak = peak_sustainable unbatched
-  and g_peak = peak_sustainable gc in
+  let u_top = top_median "unbatched" and g_top = top_median "group-commit" in
+  let u_peak = peak (cells_of "unbatched")
+  and g_peak = peak (cells_of "group-commit") in
   Printf.printf
     "\npeak sustainable throughput (highest offered rate with median\n\
      within 2x the variant's lowest-rate median):\n";
   List.iter
     (fun v ->
-      Printf.printf "  %-14s %.0f req/s\n" v.v_name
-        (peak_sustainable (cells_of v.v_name)))
+      Printf.printf "  %-14s %.0f req/s\n" v.v_name (peak (cells_of v.v_name)))
     replicated_variants;
-  let median_ok = g_top.c_median < u_top.c_median in
-  let peak_ok = g_peak > u_peak in
-  Printf.printf
-    "\nacceptance (replicated, group commit vs unbatched):\n\
-    \  median @ %s: %s vs %s  -> %s\n\
-    \  peak sustainable: %.0f vs %.0f req/s  -> %s\n"
-    (rate_label top_rate) (Table.ms g_top.c_median) (Table.ms u_top.c_median)
-    (if median_ok then "OK (lower with group commit)" else "FAIL")
-    g_peak u_peak
-    (if peak_ok then "OK (higher with group commit)" else "FAIL");
+  let verdicts =
+    Harness.accept ~exp:"batch" "replicated, group commit vs unbatched"
+      [
+        Harness.check "median" (g_top < u_top)
+          "median @ %s lower with group commit: %s vs %s"
+          (Harness.rate_label top_rate) (Table.ms g_top) (Table.ms u_top);
+        Harness.check "peak" (g_peak > u_peak)
+          "peak sustainable higher with group commit: %.0f vs %.0f req/s"
+          g_peak u_peak;
+      ]
+  in
   measurements_of "singleton" single_cells
   @ measurements_of "repl" repl_cells
   @ [
       ("batch.repl.unbatched.peak_rps", u_peak);
       ("batch.repl.group-commit.peak_rps", g_peak);
-      ("batch.accept.median", if median_ok then 1.0 else 0.0);
-      ("batch.accept.peak", if peak_ok then 1.0 else 0.0);
     ]
+  @ verdicts

@@ -101,12 +101,7 @@ let demo_mutation ?(seed = 7) () =
 
 let run ?(seeds = 50) ?(batching = false) ?(propagation = false)
     ?(leases = false) ?(shards = 1) () =
-  print_newline ();
-  print_endline
-    "================================================================";
-  print_endline "Chaos campaign — fault-plan sweeps with invariant oracle";
-  print_endline
-    "================================================================";
+  Harness.heading "Chaos campaign — fault-plan sweeps with invariant oracle";
   Printf.printf
     "grid: {social, forum} x {singleton, replicated}%s%s%s%s, %d seeds each,\n\
      templates: %s\n"

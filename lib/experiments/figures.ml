@@ -4,49 +4,32 @@ module Transport = Net.Transport
 module Stats = Metrics.Stats
 module Table = Metrics.Table
 
-type measurement = string * float
-
-let scaled scale n = max 1 (int_of_float (float_of_int n *. scale))
-
-let heading title =
-  Printf.printf "\n================================================================\n";
-  Printf.printf "%s\n" title;
-  Printf.printf "================================================================\n"
-
 (* --- Figure 1 -------------------------------------------------------- *)
 
 let fig1 ?(scale = 1.0) ?(seed = 42) () =
-  heading
+  Harness.heading
     "Figure 1 — simple app (~100 ms compute + 1 read): centralized vs\n\
      geo-replicated storage vs inconsistent local (best possible)";
   let app = Bundle.simple in
-  let rpc = scaled scale 40 in
+  let rpc = Harness.scaled scale 40 in
   let run sys = Runner.run ~seed ~requests_per_client:rpc sys app in
   let central = run Runner.Central in
   let geo = run (Runner.Geo [ Location.va; Location.oh; Location.oregon ]) in
   let local = run Runner.Local in
-  let rows, measurements =
-    List.fold_left
-      (fun (rows, ms) loc ->
-        let med r =
-          match List.assoc_opt loc (Runner.by_loc r) with
-          | Some s -> Stats.median s
-          | None -> nan
-        in
-        let c = med central and g = med geo and l = med local in
-        ( rows
-          @ [ [ loc; Table.ms c; Table.ms g; Table.ms l ] ],
-          ms
-          @ [
-              ("fig1." ^ loc ^ ".central", c);
-              ("fig1." ^ loc ^ ".geo", g);
-              ("fig1." ^ loc ^ ".local", l);
-            ] ))
-      ([], []) Location.user_locations
+  let med r loc =
+    match List.assoc_opt loc (Runner.by_loc r) with
+    | Some s -> Stats.median s
+    | None -> nan
   in
-  Table.print
-    ~header:[ "loc"; "centralized"; "geo-replicated"; "local (ideal)" ]
-    ~rows;
+  let columns =
+    [
+      Harness.column "loc" Fun.id;
+      Harness.ms ~key:"central" "centralized" (med central);
+      Harness.ms ~key:"geo" "geo-replicated" (med geo);
+      Harness.ms ~key:"local" "local (ideal)" (med local);
+    ]
+  in
+  Harness.table columns Location.user_locations;
   print_newline ();
   Table.print_bars
     (List.concat_map
@@ -58,12 +41,15 @@ let fig1 ?(scale = 1.0) ?(seed = 42) () =
          in
          pick "central" central @ pick "geo    " geo @ pick "ideal  " local)
        Location.user_locations);
-  measurements
+  Harness.measurements
+    ~prefix:(fun loc -> "fig1." ^ loc)
+    columns Location.user_locations
 
 (* --- Table 2 ---------------------------------------------------------- *)
 
 let table2 ?(seed = 42) () =
-  heading "Table 2 — storage ping RTT (ms) from each location to the\nprimary in VA";
+  Harness.heading
+    "Table 2 — storage ping RTT (ms) from each location to the\nprimary in VA";
   let engine = Engine.create ~seed () in
   let meds = ref [] in
   Engine.run engine (fun () ->
@@ -149,60 +135,62 @@ let measured_exec_ms ?(seed = 42) (info : Apps.Catalog.info) =
   !result
 
 let table1 ?(seed = 42) () =
-  heading
+  Harness.heading
     "Table 1 — function catalog: writes, analyzability, measured median\n\
      execution time (vs paper), workload share";
   let reg = Radical.Registry.create () in
   List.iter (fun f -> ignore (Radical.Registry.register reg f)) Apps.Catalog.all_functions;
-  let rows, ms =
-    List.fold_left
-      (fun (rows, ms) (info : Apps.Catalog.info) ->
+  let cells =
+    List.map
+      (fun (info : Apps.Catalog.info) ->
         let entry = Option.get (Radical.Registry.find reg info.fn_name) in
-        let analyzable, dependent =
+        let analyzable =
           match entry.derived with
-          | None -> ("No", false)
+          | None -> "No"
           | Some d -> (
               match d.classification with
-              | Analyzer.Derive.Dependent _ -> ("Yes*", true)
+              | Analyzer.Derive.Dependent _ -> "Yes*"
               | Analyzer.Derive.Static | Analyzer.Derive.Expensive
               | Analyzer.Derive.Manual ->
-                  ("Yes", false))
+                  "Yes")
         in
-        let measured = measured_exec_ms ~seed info in
-        ( rows
-          @ [
-              [
-                info.fn_name;
-                (if info.writes then "Yes" else "No");
-                analyzable;
-                Table.ms measured;
-                Table.ms info.exec_ms;
-                Printf.sprintf "%.1f%%" info.workload_pct;
-              ];
-            ],
-          ms
-          @ [
-              ("table1." ^ info.fn_name ^ ".exec_ms", measured);
-              ( "table1." ^ info.fn_name ^ ".dependent",
-                if dependent then 1.0 else 0.0 );
-            ] ))
-      ([], []) Apps.Catalog.table1
+        (info, analyzable, measured_exec_ms ~seed info))
+      Apps.Catalog.table1
   in
-  Table.print
-    ~header:[ "function"; "writes"; "analyzable"; "exec (ms)"; "paper"; "workload%" ]
-    ~rows;
+  let info ((i : Apps.Catalog.info), _, _) = i in
+  let analyzable =
+    Harness.column
+      ~measure:("dependent", fun (_, a, _) -> if a = "Yes*" then 1.0 else 0.0)
+      "analyzable"
+      (fun (_, a, _) -> a)
+  in
+  let measured = Harness.ms ~key:"exec_ms" "exec (ms)" (fun (_, _, m) -> m) in
+  Harness.table
+    [
+      Harness.column "function" (fun c -> (info c).fn_name);
+      Harness.column "writes" (fun c ->
+          if (info c).writes then "Yes" else "No");
+      analyzable;
+      measured;
+      Harness.ms "paper" (fun c -> (info c).exec_ms);
+      Harness.column "workload%" (fun c ->
+          Printf.sprintf "%.1f%%" (info c).workload_pct);
+    ]
+    cells;
   Printf.printf
     "\n(27 functions across 5 apps registered; %d analyzable. * = needed\n\
      the dependent-read optimization.)\n"
     (Radical.Registry.analyzable_count reg);
-  ms
+  Harness.measurements
+    ~prefix:(fun c -> "table1." ^ (info c).fn_name)
+    [ measured; analyzable ] cells
 
 (* --- Figures 4, 5, 6 --------------------------------------------------- *)
 
 type eval_data = (Bundle.app * (string * Runner.result) list) list
 
 let collect_eval ?(scale = 1.0) ?(seed = 42) () =
-  let rpc = scaled scale 40 in
+  let rpc = Harness.scaled scale 40 in
   List.map
     (fun (app : Bundle.app) ->
       let run sys = Runner.run ~seed ~requests_per_client:rpc sys app in
@@ -214,152 +202,129 @@ let collect_eval ?(scale = 1.0) ?(seed = 42) () =
         ] ))
     Bundle.evaluated
 
+(* One row of Figures 4-6: baseline vs Radical latency, plus whatever
+   else the figure shows. *)
+type 'a versus = {
+  label : string;
+  base : Stats.t;
+  radical : Stats.t;
+  extra : 'a;
+}
+
+let versus_columns head =
+  let ms ?key h stat get = Harness.ms ?key h (fun c -> stat (get c)) in
+  [
+    Harness.column head (fun c -> c.label);
+    ms ~key:"baseline_median" "base med" Stats.median (fun c -> c.base);
+    ms "base p99" Stats.p99 (fun c -> c.base);
+    ms ~key:"radical_median" "radical med" Stats.median (fun c -> c.radical);
+    ms "radical p99" Stats.p99 (fun c -> c.radical);
+  ]
+
 let fig4 data =
-  heading
+  Harness.heading
     "Figure 4 — end-to-end latency per application: primary-datacenter\n\
      baseline vs Radical (red line = inconsistent local ideal)";
-  let rows, ms =
-    List.fold_left
-      (fun (rows, ms) ((app : Bundle.app), runs) ->
+  let cells =
+    List.map
+      (fun ((app : Bundle.app), runs) ->
         let get tag = List.assoc tag runs in
-        let b = get "baseline" and r = get "radical" and i = get "ideal" in
-        let bm = Runner.median_of b
-        and rm = Runner.median_of r
-        and im = Runner.median_of i in
-        let improvement = (bm -. rm) /. bm in
-        let of_max = (bm -. rm) /. (bm -. im) in
-        let vrate = Option.value ~default:nan r.validation_rate in
-        ( rows
-          @ [
-              [
-                app.name;
-                Table.ms bm;
-                Table.ms (Runner.p99_of b);
-                Table.ms rm;
-                Table.ms (Runner.p99_of r);
-                Table.ms im;
-                Table.pct improvement;
-                Table.pct of_max;
-                Table.pct vrate;
-              ];
-            ],
-          ms
-          @ [
-              ("fig4." ^ app.name ^ ".baseline_median", bm);
-              ("fig4." ^ app.name ^ ".radical_median", rm);
-              ("fig4." ^ app.name ^ ".ideal_median", im);
-              ("fig4." ^ app.name ^ ".improvement", improvement);
-              ("fig4." ^ app.name ^ ".of_max", of_max);
-              ("fig4." ^ app.name ^ ".validation_rate", vrate);
-            ] ))
-      ([], []) data
+        {
+          label = app.name;
+          base = Runner.overall (get "baseline");
+          radical = Runner.overall (get "radical");
+          extra =
+            ( Runner.overall (get "ideal"),
+              Option.value ~default:nan (get "radical").validation_rate );
+        })
+      data
   in
-  Table.print
-    ~header:
-      [
-        "app"; "base med"; "base p99"; "radical med"; "radical p99";
-        "ideal med"; "improve"; "of max"; "val rate";
+  let med = Stats.median in
+  let ideal c = med (fst c.extra) in
+  let gain c = med c.base -. med c.radical in
+  let columns =
+    versus_columns "app"
+    @ [
+        Harness.ms ~key:"ideal_median" "ideal med" ideal;
+        Harness.ratio ~key:"improvement" "improve" (fun c ->
+            gain c /. med c.base);
+        Harness.ratio ~key:"of_max" "of max" (fun c ->
+            gain c /. (med c.base -. ideal c));
+        Harness.ratio ~key:"validation_rate" "val rate" (fun c -> snd c.extra);
       ]
-    ~rows;
+  in
+  Harness.table columns cells;
   print_newline ();
   Table.print_bars
     (List.concat_map
-       (fun ((app : Bundle.app), runs) ->
+       (fun c ->
          [
-           (app.name ^ " baseline", Runner.median_of (List.assoc "baseline" runs));
-           (app.name ^ " radical ", Runner.median_of (List.assoc "radical" runs));
-           (app.name ^ " ideal   ", Runner.median_of (List.assoc "ideal" runs));
+           (c.label ^ " baseline", med c.base);
+           (c.label ^ " radical ", med c.radical);
+           (c.label ^ " ideal   ", ideal c);
          ])
-       data);
+       cells);
   Printf.printf
     "\n(paper: improvements 28-35%%, 84-89%% of the maximum possible,\n\
      ~95%% validation success)\n";
-  ms
+  Harness.measurements ~prefix:(fun c -> "fig4." ^ c.label) columns cells
 
 let fig5 data =
-  heading
+  Harness.heading
     "Figure 5 — end-to-end latency per deployment location (red line =\n\
      inconsistent local ideal)";
+  let columns =
+    versus_columns "loc"
+    @ [ Harness.ms ~key:"ideal_median" "ideal" (fun c -> Stats.median c.extra) ]
+  in
   List.concat_map
     (fun ((app : Bundle.app), runs) ->
       Printf.printf "\n[%s]\n" app.name;
       let locs tag = Runner.by_loc (List.assoc tag runs) in
       let b = locs "baseline" and r = locs "radical" and i = locs "ideal" in
-      let rows, ms =
-        List.fold_left
-          (fun (rows, ms) loc ->
+      let cells =
+        List.filter_map
+          (fun loc ->
             match
               (List.assoc_opt loc b, List.assoc_opt loc r, List.assoc_opt loc i)
             with
-            | Some sb, Some sr, Some si ->
-                ( rows
-                  @ [
-                      [
-                        loc;
-                        Table.ms (Stats.median sb);
-                        Table.ms (Stats.p99 sb);
-                        Table.ms (Stats.median sr);
-                        Table.ms (Stats.p99 sr);
-                        Table.ms (Stats.median si);
-                      ];
-                    ],
-                  ms
-                  @ [
-                      ( Printf.sprintf "fig5.%s.%s.baseline_median" app.name loc,
-                        Stats.median sb );
-                      ( Printf.sprintf "fig5.%s.%s.radical_median" app.name loc,
-                        Stats.median sr );
-                      ( Printf.sprintf "fig5.%s.%s.ideal_median" app.name loc,
-                        Stats.median si );
-                    ] )
-            | _ -> (rows, ms))
-          ([], []) Location.user_locations
+            | Some base, Some radical, Some extra ->
+                Some { label = loc; base; radical; extra }
+            | _ -> None)
+          Location.user_locations
       in
-      Table.print
-        ~header:
-          [ "loc"; "base med"; "base p99"; "radical med"; "radical p99"; "ideal" ]
-        ~rows;
-      ms)
+      Harness.table columns cells;
+      Harness.measurements
+        ~prefix:(fun c -> Printf.sprintf "fig5.%s.%s" app.name c.label)
+        columns cells)
     data
 
 let fig6 data =
-  heading "Figure 6 — per-function end-to-end latency, baseline vs Radical";
+  Harness.heading
+    "Figure 6 — per-function end-to-end latency, baseline vs Radical";
+  let columns =
+    versus_columns "function"
+    @ [
+        Harness.column "exec" (fun c ->
+            match Apps.Catalog.find c.label with
+            | Some i -> Table.ms i.exec_ms
+            | None -> "-");
+      ]
+  in
   List.concat_map
     (fun ((app : Bundle.app), runs) ->
       Printf.printf "\n[%s]\n" app.name;
-      let b = Runner.by_fn (List.assoc "baseline" runs) in
       let r = Runner.by_fn (List.assoc "radical" runs) in
-      let rows, ms =
-        List.fold_left
-          (fun (rows, ms) (fn, sb) ->
-            match List.assoc_opt fn r with
-            | Some sr ->
-                ( rows
-                  @ [
-                      [
-                        fn;
-                        Table.ms (Stats.median sb);
-                        Table.ms (Stats.p99 sb);
-                        Table.ms (Stats.median sr);
-                        Table.ms (Stats.p99 sr);
-                        (match Apps.Catalog.find fn with
-                        | Some i -> Table.ms i.exec_ms
-                        | None -> "-");
-                      ];
-                    ],
-                  ms
-                  @ [
-                      ("fig6." ^ fn ^ ".baseline_median", Stats.median sb);
-                      ("fig6." ^ fn ^ ".radical_median", Stats.median sr);
-                    ] )
-            | None -> (rows, ms))
-          ([], []) b
+      let cells =
+        List.filter_map
+          (fun (fn, base) ->
+            Option.map
+              (fun radical -> { label = fn; base; radical; extra = () })
+              (List.assoc_opt fn r))
+          (Runner.by_fn (List.assoc "baseline" runs))
       in
-      Table.print
-        ~header:
-          [ "function"; "base med"; "base p99"; "radical med"; "radical p99"; "exec" ]
-        ~rows;
-      ms)
+      Harness.table columns cells;
+      Harness.measurements ~prefix:(fun c -> "fig6." ^ c.label) columns cells)
     data
 
 (* --- §5.6 replication --------------------------------------------------- *)
@@ -380,7 +345,7 @@ let write_heavy_fn n_keys =
   }
 
 let replication ?(seed = 42) () =
-  heading
+  Harness.heading
     "§5.6 — replicated LVI server: added request latency vs number of\n\
      locks (paper model: 3 + 2.3 * L ms)";
   let lock_counts = [ 1; 2; 4; 8 ] in
@@ -413,35 +378,32 @@ let replication ?(seed = 42) () =
         Radical.Framework.stop fw);
     !out
   in
-  let rows, ms =
-    List.fold_left
-      (fun (rows, ms) l ->
+  let cells =
+    List.map
+      (fun l ->
         let single = measure Radical.Server.Singleton l in
-        let repl = measure (Radical.Server.Replicated { az_rtt = 1.5 }) l in
-        let added = repl -. single in
-        let model = 3.0 +. (2.3 *. float_of_int l) in
-        ( rows
-          @ [
-              [
-                string_of_int l;
-                Table.ms single;
-                Table.ms repl;
-                Table.ms added;
-                Table.ms model;
-              ];
-            ],
-          ms @ [ (Printf.sprintf "repl.L%d.added_ms" l, added) ] ))
-      ([], []) lock_counts
+        (l, single, measure (Radical.Server.Replicated { az_rtt = 1.5 }) l))
+      lock_counts
   in
-  Table.print
-    ~header:[ "locks"; "singleton"; "replicated"; "added"; "paper model" ]
-    ~rows;
-  ms
+  let columns =
+    [
+      Harness.int "locks" (fun (l, _, _) -> l);
+      Harness.ms "singleton" (fun (_, s, _) -> s);
+      Harness.ms "replicated" (fun (_, _, r) -> r);
+      Harness.ms ~key:"added_ms" "added" (fun (_, s, r) -> r -. s);
+      Harness.ms "paper model" (fun (l, _, _) ->
+          3.0 +. (2.3 *. float_of_int l));
+    ]
+  in
+  Harness.table columns cells;
+  Harness.measurements
+    ~prefix:(fun (l, _, _) -> Printf.sprintf "repl.L%d" l)
+    columns cells
 
 (* --- §5.7 cost ---------------------------------------------------------- *)
 
 let cost () =
-  heading "§5.7 — monthly cost, baseline vs Radical";
+  Harness.heading "§5.7 — monthly cost, baseline vs Radical";
   let p = Cost.defaults in
   Printf.printf "infrastructure: baseline $%.2f, Radical $%.2f (%.0f%% increase)\n\n"
     (Cost.infrastructure_baseline p)
@@ -449,35 +411,32 @@ let cost () =
     ((Cost.infrastructure_radical p /. Cost.infrastructure_baseline p -. 1.0)
     *. 100.0);
   let volumes = [ 1e6; 1e7; 1e8 ] in
-  let rows, ms =
-    List.fold_left
-      (fun (rows, ms) v ->
-        let b = Cost.at_scale p ~invocations_per_month:v in
-        ( rows
-          @ [
-              [
-                Printf.sprintf "%.0fM" (v /. 1e6);
-                Printf.sprintf "$%.2f" b.baseline_total;
-                Printf.sprintf "$%.2f" b.radical_total;
-                Printf.sprintf "%.2fx" b.overhead_ratio;
-              ];
-            ],
-          ms
-          @ [
-              (Printf.sprintf "cost.%.0fM.baseline" (v /. 1e6), b.baseline_total);
-              (Printf.sprintf "cost.%.0fM.radical" (v /. 1e6), b.radical_total);
-            ] ))
-      ([], []) volumes
+  let cells =
+    List.map (fun v -> (v, Cost.at_scale p ~invocations_per_month:v)) volumes
   in
-  Table.print
-    ~header:[ "invocations/month"; "baseline"; "radical"; "ratio" ]
-    ~rows;
-  ms
+  let dollars key get =
+    Harness.column ~measure:(key, get) key (fun c ->
+        Printf.sprintf "$%.2f" (get c))
+  in
+  let columns =
+    [
+      Harness.column "invocations/month" (fun (v, _) ->
+          Printf.sprintf "%.0fM" (v /. 1e6));
+      dollars "baseline" (fun (_, b) -> b.Cost.baseline_total);
+      dollars "radical" (fun (_, b) -> b.Cost.radical_total);
+      Harness.column "ratio" (fun (_, b) ->
+          Printf.sprintf "%.2fx" b.Cost.overhead_ratio);
+    ]
+  in
+  Harness.table columns cells;
+  Harness.measurements
+    ~prefix:(fun (v, _) -> Printf.sprintf "cost.%.0fM" (v /. 1e6))
+    columns cells
 
 (* --- §5.5 sensitivity: execution time vs benefit ------------------------ *)
 
 let sensitivity ?(seed = 42) () =
-  heading
+  Harness.heading
     "§5.5 — sensitivity to function execution time: Radical vs baseline\n\
      for a synthetic handler (1 read + T ms compute), clients in CA";
   let open Fdsl.Ast in
@@ -499,40 +458,38 @@ let sensitivity ?(seed = 42) () =
         (fun () -> fun _ -> (Printf.sprintf "work%.0f" t, [ Dval.Str "hot" ]));
     }
   in
-  let rows, ms =
-    List.fold_left
-      (fun (rows, ms) t ->
+  let cells =
+    List.map
+      (fun t ->
         let run sys =
-          Runner.run ~seed ~locations:[ Location.ca ] ~clients_per_loc:4
-            ~requests_per_client:25 ~jitter:0.0 sys (app t)
+          Runner.median_of
+            (Runner.run ~seed ~locations:[ Location.ca ] ~clients_per_loc:4
+               ~requests_per_client:25 ~jitter:0.0 sys (app t))
         in
-        let radical = Runner.median_of (run Runner.Radical) in
-        let central = Runner.median_of (run Runner.Central) in
-        let benefit = central -. radical in
-        ( rows
-          @ [
-              [
-                Printf.sprintf "%.0f" t;
-                Table.ms central;
-                Table.ms radical;
-                Table.ms benefit;
-              ];
-            ],
-          ms @ [ (Printf.sprintf "sensitivity.T%.0f.benefit" t, benefit) ] ))
-      ([], []) exec_times
+        let radical = run Runner.Radical in
+        (t, run Runner.Central, radical))
+      exec_times
   in
-  Table.print
-    ~header:[ "exec (ms)"; "baseline"; "radical"; "benefit" ]
-    ~rows;
+  let columns =
+    [
+      Harness.column "exec (ms)" (fun (t, _, _) -> Printf.sprintf "%.0f" t);
+      Harness.ms "baseline" (fun (_, c, _) -> c);
+      Harness.ms "radical" (fun (_, _, r) -> r);
+      Harness.ms ~key:"benefit" "benefit" (fun (_, c, r) -> c -. r);
+    ]
+  in
+  Harness.table columns cells;
   Printf.printf
     "\n(paper: functions above ~20 ms benefit; the benefit saturates at\n\
      lat_nu<->ns once execution fully hides the LVI request)\n";
-  ms
+  Harness.measurements
+    ~prefix:(fun (t, _, _) -> Printf.sprintf "sensitivity.T%.0f" t)
+    columns cells
 
 (* --- §3.2 gradual cache bootstrap ----------------------------------------- *)
 
 let bootstrap ?(seed = 42) () =
-  heading
+  Harness.heading
     "§3.2 — gradual cache bootstrap: validation success over time when\n\
      every near-user cache starts empty (each miss repairs the cache)";
   let app = Bundle.social in
@@ -594,13 +551,13 @@ let bootstrap ?(seed = 42) () =
 (* --- Skew sweep (§5.3: high skew stresses the locking scheme) -------- *)
 
 let skew ?(seed = 42) () =
-  heading
+  Harness.heading
     "§5.3 — workload skew vs validation success: the social app with\n\
      the user-selection zipf parameter swept (paper runs at 0.99)";
   let thetas = [ 0.0; 0.5; 0.9; 0.99; 1.2 ] in
-  let rows, ms =
-    List.fold_left
-      (fun (rows, ms) theta ->
+  let cells =
+    List.map
+      (fun theta ->
         let app : Bundle.app =
           {
             Bundle.social with
@@ -611,33 +568,32 @@ let skew ?(seed = 42) () =
                 fun rng -> Apps.Social.next g rng);
           }
         in
-        let r = Runner.run ~seed ~requests_per_client:40 Runner.Radical app in
-        let vrate = Option.value ~default:nan r.validation_rate in
-        ( rows
-          @ [
-              [
-                Printf.sprintf "%.2f" theta;
-                Table.ms (Runner.median_of r);
-                Table.ms (Runner.p99_of r);
-                Table.pct vrate;
-              ];
-            ],
-          ms @ [ (Printf.sprintf "skew.z%.2f.validation" theta, vrate) ] ))
-      ([], []) thetas
+        (theta, Runner.run ~seed ~requests_per_client:40 Runner.Radical app))
+      thetas
   in
-  Table.print
-    ~header:[ "zipf theta"; "radical med"; "radical p99"; "val rate" ]
-    ~rows;
+  let columns =
+    [
+      Harness.column "zipf theta" (fun (theta, _) ->
+          Printf.sprintf "%.2f" theta);
+      Harness.ms "radical med" (fun (_, r) -> Runner.median_of r);
+      Harness.ms "radical p99" (fun (_, r) -> Runner.p99_of r);
+      Harness.ratio ~key:"validation" "val rate" (fun (_, r) ->
+          Option.value ~default:nan r.Runner.validation_rate);
+    ]
+  in
+  Harness.table columns cells;
   Printf.printf
     "\n(higher skew concentrates writes on hot users' timelines,\n\
      increasing cross-site invalidations and lock contention; the\n\
      evaluation's 0.99 still validates ~95%%)\n";
-  ms
+  Harness.measurements
+    ~prefix:(fun (theta, _) -> Printf.sprintf "skew.z%.2f" theta)
+    columns cells
 
 (* --- Throughput parity (§5.3's footnote) --------------------------------- *)
 
 let throughput ?(seed = 42) () =
-  heading
+  Harness.heading
     "§5.3 — throughput parity: completed requests in a fixed window,\n\
      Radical vs primary-datacenter baseline (paper: identical; the only\n\
      added component is the LVI server)";
@@ -699,11 +655,11 @@ let throughput ?(seed = 42) () =
 (* --- Per-phase latency breakdown (tracing) ------------------------------- *)
 
 let phases ?(scale = 1.0) ?(seed = 42) () =
-  heading
+  Harness.heading
     "Per-phase latency breakdown — the social app under Radical with\n\
      request tracing enabled: where each request path spends its time";
   let tracer = Metrics.Tracer.create () in
-  let rpc = scaled scale 25 in
+  let rpc = Harness.scaled scale 25 in
   let r =
     Runner.run ~seed ~requests_per_client:rpc ~tracer Runner.Radical
       Bundle.social
@@ -721,45 +677,45 @@ let phases ?(scale = 1.0) ?(seed = 42) () =
       []
       (Metrics.Tracer.phase_stats tracer)
   in
-  let paths = [ "Speculative"; "Backup"; "Fallback" ] in
-  let rows, ms =
-    List.fold_left
-      (fun (rows, ms) path ->
+  let cells =
+    List.concat_map
+      (fun path ->
         let here =
           List.filter_map
             (fun ((p, phase), s) -> if p = path then Some (phase, s) else None)
             per_path
         in
         let total = List.assoc_opt "total" here in
-        List.fold_left
-          (fun (rows, ms) (phase, s) ->
-            ( rows
-              @ [
-                  [
-                    path;
-                    phase;
-                    string_of_int (Stats.count s);
-                    Table.ms (Stats.mean s);
-                    Table.ms (Stats.median s);
-                    Table.ms (Stats.p99 s);
-                    (match total with
-                    | Some t when phase <> "total" && Stats.mean t > 0.0 ->
-                        Table.pct (Stats.mean s /. Stats.mean t)
-                    | _ -> "-");
-                  ];
-                ],
-              ms
-              @ [
-                  ( Printf.sprintf "phases.%s.%s.mean_ms" path phase,
-                    Stats.mean s );
-                ] ))
-          (rows, ms)
+        List.map
+          (fun (phase, s) -> (path, phase, s, total))
           (List.sort (fun (a, _) (b, _) -> compare a b) here))
-      ([], []) paths
+      [ "Speculative"; "Backup"; "Fallback" ]
   in
-  Table.print
-    ~header:[ "path"; "phase"; "count"; "mean"; "median"; "p99"; "of total" ]
-    ~rows;
+  let stat ?key head f = Harness.ms ?key head (fun (_, _, s, _) -> f s) in
+  let columns =
+    [
+      Harness.column "path" (fun (path, _, _, _) -> path);
+      Harness.column "phase" (fun (_, phase, _, _) -> phase);
+      Harness.int "count" (fun (_, _, s, _) -> Stats.count s);
+      stat ~key:"mean_ms" "mean" Stats.mean;
+      stat "median" Stats.median;
+      stat "p99" Stats.p99;
+      Harness.column "of total" (fun (_, phase, s, total) ->
+          match total with
+          | Some t when phase <> "total" && Stats.mean t > 0.0 ->
+              Table.pct (Stats.mean s /. Stats.mean t)
+          | _ -> "-");
+    ]
+  in
+  (* Means first: a median sorts the samples in place, and the sum then
+     rounds differently. *)
+  let ms =
+    Harness.measurements
+      ~prefix:(fun (path, phase, _, _) ->
+        Printf.sprintf "phases.%s.%s" path phase)
+      columns cells
+  in
+  Harness.table columns cells;
   Printf.printf "\n%s\n" (Metrics.Tracer.phases_json tracer);
   Printf.printf
     "\n(the Speculative path's lvi_rtt dominates but overlaps the\n\
@@ -772,11 +728,11 @@ let phases ?(scale = 1.0) ?(seed = 42) () =
 (* --- Ablations ----------------------------------------------------------- *)
 
 let ablation ?(scale = 1.0) ?(seed = 42) () =
-  heading
+  Harness.heading
     "Ablation — why a single overlapped LVI request: Radical vs\n\
      no-overlap vs per-access coordination (naive edge) vs baselines";
   let app = Bundle.social in
-  let rpc = scaled scale 25 in
+  let rpc = Harness.scaled scale 25 in
   let run sys = Runner.run ~seed ~requests_per_client:rpc sys app in
   let no_overlap =
     { Radical.Framework.default_config with overlap = false }
@@ -806,20 +762,3 @@ let ablation ?(scale = 1.0) ?(seed = 42) () =
   in
   Table.print ~header:[ "system"; "median"; "p99" ] ~rows;
   ms
-
-let all ?(scale = 1.0) () =
-  ignore (fig1 ~scale ());
-  ignore (table1 ());
-  ignore (table2 ());
-  let data = collect_eval ~scale () in
-  ignore (fig4 data);
-  ignore (fig5 data);
-  ignore (fig6 data);
-  ignore (replication ());
-  ignore (cost ());
-  ignore (sensitivity ());
-  ignore (skew ());
-  ignore (throughput ());
-  ignore (bootstrap ());
-  ignore (ablation ~scale ());
-  ignore (phases ~scale ())

@@ -1,17 +1,9 @@
 open Sim
-module Transport = Net.Transport
 module Stats = Metrics.Stats
 module Table = Metrics.Table
 module Framework = Radical.Framework
 module Server = Radical.Server
 module Runtime = Radical.Runtime
-
-type measurement = string * float
-
-let heading title =
-  Printf.printf "\n================================================================\n";
-  Printf.printf "%s\n" title;
-  Printf.printf "================================================================\n"
 
 (* --- read-heavy zipf catalog ------------------------------------------
 
@@ -26,15 +18,13 @@ let heading title =
 
 let n_items = 16
 
-let key prefix input = Fdsl.Ast.(Concat [ Str prefix; Input input ])
-
 (* Statically read-only, single key: the lease-local candidate. *)
 let get_item_fn =
   let open Fdsl.Ast in
   {
     fn_name = "get_item";
     params = [ "k" ];
-    body = Compute (0.5, Read (key "item:" "k"));
+    body = Compute (0.5, Read (Harness.key "item:" "k"));
   }
 
 (* Statically read-only over two keys: local only when BOTH are
@@ -49,10 +39,10 @@ let compare_fn =
         ( 0.5,
           Let
             ( "x",
-              Read (key "item:" "a"),
+              Read (Harness.key "item:" "a"),
               Let
                 ( "y",
-                  Read (key "item:" "b"),
+                  Read (Harness.key "item:" "b"),
                   Record_lit [ ("a", Var "x"); ("b", Var "y") ] ) ) );
   }
 
@@ -68,8 +58,8 @@ let update_fn =
         ( 1.0,
           Let
             ( "cur",
-              Read (key "item:" "k"),
-              Seq [ Write (key "item:" "k", Input "v"); Var "cur" ] ) );
+              Read (Harness.key "item:" "k"),
+              Seq [ Write (Harness.key "item:" "k", Input "v"); Var "cur" ] ) );
   }
 
 let funcs = [ get_item_fn; compare_fn; update_fn ]
@@ -98,46 +88,28 @@ let variants =
 (* --- one cell --------------------------------------------------------- *)
 
 type cell = {
-  c_variant : string;
-  c_ro_median : float; (* read-only functions only — the headline *)
-  c_ro_p99 : float;
-  c_w_median : float; (* the writer pays for the settles *)
-  c_median : float; (* whole mix *)
-  c_local : int; (* invocations served on the lease-local path *)
-  c_ro_requests : int;
-  c_requests : int;
-  c_errors : int;
-  c_grants : int;
-  c_revokes : int;
-  c_expiry_waits : int;
-  c_blocked_writes : int;
+  variant : string;
+  load : Harness.load; (* whole mix *)
+  ro_lat : Stats.t; (* read-only functions only — the headline *)
+  w_lat : Stats.t; (* the writer pays for the settles *)
+  local : int; (* invocations served on the lease-local path *)
+  ro_requests : int;
+  srv : Server.stats;
 }
 
-let run_cell ?(seed = 42) ~variant ~clients_per_loc ~requests_per_client () =
-  let engine = Engine.create ~seed () in
-  let out = ref None in
-  Engine.run engine (fun () ->
-      let rng = Engine.rng () in
-      let net = Transport.create ~jitter_sigma:0.05 ~rng:(Rng.split rng) () in
-      let config =
-        {
-          Framework.default_config with
-          server = { Server.default_config with leases = variant.v_leases };
-        }
-      in
-      let fw = Framework.create ~config ~net ~funcs ~data:seed_data () in
-      let sites = Framework.locations fw in
-      let n_sites = List.length sites in
+let run_cell ~seed ~variant ~clients_per_loc ~requests_per_client =
+  let config =
+    {
+      Framework.default_config with
+      server = { Server.default_config with leases = variant.v_leases };
+    }
+  in
+  Harness.deploy ~seed ~config ~funcs ~data:seed_data (fun ~rng ~fw ->
       let zipf = Workload.Zipf.create ~n:n_items ~theta:0.99 in
       let ro_lat = Stats.create () in
       let w_lat = Stats.create () in
-      let all_lat = Stats.create () in
-      let errors = ref 0 in
       let local = ref 0 in
       let ro_requests = ref 0 in
-      let requests = ref 0 in
-      let n_clients = n_sites * clients_per_loc in
-      let client_rngs = Array.init n_clients (fun _ -> Rng.split rng) in
       (* get_item dominates compare_items 3:1 inside the 95% read
          share; compare needs BOTH its keys covered to stay local. *)
       let mix =
@@ -145,14 +117,20 @@ let run_cell ?(seed = 42) ~variant ~clients_per_loc ~requests_per_client () =
           ~reads:[ `Get; `Get; `Get; `Compare ]
           ~writes:[ `Update ] ()
       in
-      Workload.Driver.run_clients ~n:n_clients ~iterations:requests_per_client
-        ~think_time:100.0 (fun ~client ~iter ->
-          let from = List.nth sites (client mod n_sites) in
-          let crng = client_rngs.(client) in
-          let item () =
-            Dval.Str (Printf.sprintf "i%d" (Workload.Zipf.sample zipf crng))
-          in
-          let fn, args =
+      let observe fn (o : Runtime.outcome) =
+        if o.path = Runtime.Local then incr local;
+        if List.mem fn read_fns then begin
+          incr ro_requests;
+          Stats.add ro_lat o.latency
+        end
+        else Stats.add w_lat o.latency
+      in
+      let load =
+        Harness.closed_loop ~rng ~fw ~clients_per_loc ~requests_per_client
+          ~think_time:100.0 ~observe (fun ~client ~iter crng ->
+            let item () =
+              Dval.Str (Printf.sprintf "i%d" (Workload.Zipf.sample zipf crng))
+            in
             match Workload.Mix.sample mix crng with
             | `Get -> ("get_item", [ item () ])
             | `Compare -> ("compare_items", [ item (); item () ])
@@ -163,92 +141,59 @@ let run_cell ?(seed = 42) ~variant ~clients_per_loc ~requests_per_client () =
                   [
                     Dval.Str (Printf.sprintf "i%d" (Rng.int crng n_items));
                     Dval.Str (Printf.sprintf "v%d-%d" client iter);
-                  ] )
-          in
-          incr requests;
-          let o = Framework.invoke fw ~from fn args in
-          if Result.is_error o.Runtime.value then incr errors;
-          if o.path = Runtime.Local then incr local;
-          Stats.add all_lat o.latency;
-          if List.mem fn read_fns then begin
-            incr ro_requests;
-            Stats.add ro_lat o.latency
-          end
-          else Stats.add w_lat o.latency);
+                  ] ))
+      in
       (* Let straggler followups commit and their settles conclude. *)
       Engine.sleep 1000.0;
-      let srv = Server.stats (Framework.server fw) in
-      Framework.stop fw;
-      out :=
-        Some
-          {
-            c_variant = variant.v_name;
-            c_ro_median = Stats.median ro_lat;
-            c_ro_p99 = Stats.p99 ro_lat;
-            c_w_median = Stats.median w_lat;
-            c_median = Stats.median all_lat;
-            c_local = !local;
-            c_ro_requests = !ro_requests;
-            c_requests = !requests;
-            c_errors = !errors;
-            c_grants = srv.lease_grants;
-            c_revokes = srv.lease_revokes;
-            c_expiry_waits = srv.lease_expiry_waits;
-            c_blocked_writes = srv.lease_blocked_writes;
-          });
-  match !out with Some c -> c | None -> assert false
+      {
+        variant = variant.v_name;
+        load;
+        ro_lat;
+        w_lat;
+        local = !local;
+        ro_requests = !ro_requests;
+        srv = Server.stats (Framework.server fw);
+      })
 
 (* --- the experiment --------------------------------------------------- *)
 
-let print_cells cells =
-  Table.print
-    ~header:
-      [
-        "leases"; "ro median"; "ro p99"; "write med"; "mix med"; "local";
-        "ro req"; "req"; "err"; "grants"; "revokes"; "waits"; "blocked";
-      ]
-    ~rows:
-      (List.map
-         (fun c ->
-           [
-             c.c_variant;
-             Table.ms c.c_ro_median;
-             Table.ms c.c_ro_p99;
-             Table.ms c.c_w_median;
-             Table.ms c.c_median;
-             string_of_int c.c_local;
-             string_of_int c.c_ro_requests;
-             string_of_int c.c_requests;
-             string_of_int c.c_errors;
-             string_of_int c.c_grants;
-             string_of_int c.c_revokes;
-             string_of_int c.c_expiry_waits;
-             string_of_int c.c_blocked_writes;
-           ])
-         cells)
+let load c = c.load
+let ms key head stat get = Harness.ms ~key head (fun c -> stat (get c))
+let ro_median = ms "ro_median_ms" "ro median" Stats.median (fun c -> c.ro_lat)
+let ro_p99 = ms "ro_p99_ms" "ro p99" Stats.p99 (fun c -> c.ro_lat)
+let w_median = ms "write_median_ms" "write med" Stats.median (fun c -> c.w_lat)
+let mix_median = ms "mix_median_ms" "mix med" Stats.median (fun c -> c.load.lat)
 
-let measurements_of cells =
-  List.concat_map
-    (fun c ->
-      let p = "lease." ^ c.c_variant in
-      [
-        (p ^ ".ro_median_ms", c.c_ro_median);
-        (p ^ ".ro_p99_ms", c.c_ro_p99);
-        (p ^ ".write_median_ms", c.c_w_median);
-        (p ^ ".mix_median_ms", c.c_median);
-        ( p ^ ".local_rate",
-          if c.c_ro_requests = 0 then 0.0
-          else float_of_int c.c_local /. float_of_int c.c_ro_requests );
-        (p ^ ".grants", float_of_int c.c_grants);
-        (p ^ ".revokes", float_of_int c.c_revokes);
-        (p ^ ".expiry_waits", float_of_int c.c_expiry_waits);
-        (p ^ ".blocked_writes", float_of_int c.c_blocked_writes);
-        (p ^ ".errors", float_of_int c.c_errors);
-      ])
-    cells
+(* The table counts lease-local invocations; the measurement is their
+   share of the read-only requests. *)
+let local =
+  Harness.column
+    ~measure:
+      ( "local_rate",
+        fun c ->
+          if c.ro_requests = 0 then 0.0
+          else float_of_int c.local /. float_of_int c.ro_requests )
+    "local"
+    (fun c -> string_of_int c.local)
+
+let errors = Harness.errors ~key:"errors" load
+let count key head get = Harness.int ~key head (fun c -> get c.srv)
+let grants = count "grants" "grants" (fun s -> s.lease_grants)
+let revokes = count "revokes" "revokes" (fun s -> s.lease_revokes)
+let waits = count "expiry_waits" "waits" (fun s -> s.lease_expiry_waits)
+let blocked = count "blocked_writes" "blocked" (fun s -> s.lease_blocked_writes)
+
+let columns =
+  [
+    Harness.column "leases" (fun c -> c.variant);
+    ro_median; ro_p99; w_median; mix_median; local;
+    Harness.int "ro req" (fun c -> c.ro_requests);
+    Harness.requests load;
+    errors; grants; revokes; waits; blocked;
+  ]
 
 let run ?(scale = 1.0) ?(seed = 42) () =
-  heading
+  Harness.heading
     "Read leases — read-heavy zipf mix, read-only median latency with\n\
      leases off / on (revocation) / on (expiry-wait only)";
   let clients_per_loc = 3 in
@@ -262,20 +207,15 @@ let run ?(scale = 1.0) ?(seed = 42) () =
     clients_per_loc requests_per_client n_items;
   let cells =
     List.map
-      (fun v ->
-        run_cell ~seed ~variant:v ~clients_per_loc ~requests_per_client ())
+      (fun variant ->
+        run_cell ~seed ~variant ~clients_per_loc ~requests_per_client)
       variants
   in
-  print_cells cells;
-  let cell name = List.find (fun c -> c.c_variant = name) cells in
+  Harness.table columns cells;
+  let cell name = List.find (fun c -> c.variant = name) cells in
   let off = cell "off" and on = cell "on" in
-  let reduction =
-    if off.c_ro_median > 0.0 then
-      1.0 -. (on.c_ro_median /. off.c_ro_median)
-    else 0.0
-  in
-  let median_ok = reduction >= 0.40 in
-  let sound = on.c_errors = 0 && off.c_errors = 0 in
+  let off_ro = Stats.median off.ro_lat and on_ro = Stats.median on.ro_lat in
+  let reduction = if off_ro > 0.0 then 1.0 -. (on_ro /. off_ro) else 0.0 in
   Printf.printf
     "\nnotes: 'local' counts invocations that never left their site\n\
      (zero LVI round trips); 'blocked' counts writes that found\n\
@@ -283,17 +223,22 @@ let run ?(scale = 1.0) ?(seed = 42) () =
      ('revokes') or by waiting out expiry + eps ('waits'). The\n\
      expiry-only variant shows the same read-side win with the write\n\
      path paying full lease terms instead of one revocation RTT.\n";
-  Printf.printf
-    "\nacceptance (on vs off):\n\
-    \  read-only median: %s vs %s  -> %.0f%% reduction, %s\n\
-    \  errors: %d+%d  -> %s\n"
-    (Table.ms on.c_ro_median) (Table.ms off.c_ro_median) (100.0 *. reduction)
-    (if median_ok then "OK (>= 40%)" else "FAIL (< 40%)")
-    on.c_errors off.c_errors
-    (if sound then "OK" else "FAIL");
-  measurements_of cells
-  @ [
-      ("lease.accept.ro_median_reduction", reduction);
-      ("lease.accept.median", if median_ok then 1.0 else 0.0);
-      ("lease.accept.no_errors", if sound then 1.0 else 0.0);
+  let verdicts =
+    Harness.accept ~exp:"lease" "on vs off"
+      [
+        Harness.check "median" (reduction >= 0.40)
+          "read-only median down >= 40%%: %s vs %s, %.0f%% reduction"
+          (Table.ms on_ro) (Table.ms off_ro) (100.0 *. reduction);
+        Harness.check "no_errors"
+          (on.load.errors = 0 && off.load.errors = 0)
+          "errors: %d+%d" on.load.errors off.load.errors;
+      ]
+  in
+  Harness.measurements
+    ~prefix:(fun c -> "lease." ^ c.variant)
+    [
+      ro_median; ro_p99; w_median; mix_median; local;
+      grants; revokes; waits; blocked; errors;
     ]
+    cells
+  @ (("lease.accept.ro_median_reduction", reduction) :: verdicts)

@@ -19,9 +19,7 @@
     median must drop by at least 40% versus off, with zero errors in
     both cells. *)
 
-type measurement = string * float
-
-val run : ?scale:float -> ?seed:int -> unit -> measurement list
+val run : ?scale:float -> ?seed:int -> unit -> Harness.measurement list
 (** [scale] multiplies the per-client request count ([make check]
     smoke-runs at [--scale 1]; the acceptance run uses the default
     bench scale 5). *)

@@ -19,9 +19,7 @@
     success must be strictly higher and median latency strictly lower
     than with propagation off. *)
 
-type measurement = string * float
-
-val run : ?scale:float -> ?seed:int -> unit -> measurement list
+val run : ?scale:float -> ?seed:int -> unit -> Harness.measurement list
 (** [scale] multiplies the per-client request count ([make check]
     smoke-runs at [--scale 1]; the acceptance run uses the default
     bench scale 5). *)

@@ -1,17 +1,8 @@
 open Sim
-module Transport = Net.Transport
 module Stats = Metrics.Stats
-module Table = Metrics.Table
 module Tracer = Metrics.Tracer
 module Framework = Radical.Framework
 module Server = Radical.Server
-
-type measurement = string * float
-
-let heading title =
-  Printf.printf "\n================================================================\n";
-  Printf.printf "%s\n" title;
-  Printf.printf "================================================================\n"
 
 (* --- synthetic shardable workload ------------------------------------
 
@@ -27,58 +18,14 @@ let heading title =
 let n_families = 8
 let n_accounts = 200 (* per family *)
 
-let key prefix input = Fdsl.Ast.(Concat [ Str prefix; Input input ])
-
 let fam i = Printf.sprintf "f%d:bal:" i
 
-let pay_fn i =
-  let open Fdsl.Ast in
-  let p = fam i in
-  {
-    fn_name = Printf.sprintf "pay%d" i;
-    params = [ "src"; "dst" ];
-    body =
-      Compute
-        ( 1.0,
-          Let
-            ( "s",
-              Read (key p "src"),
-              Let
-                ( "d",
-                  Read (key p "dst"),
-                  Seq
-                    [
-                      Write (key p "src", Binop (Sub, Var "s", Int 1L));
-                      Write (key p "dst", Binop (Add, Var "d", Int 1L));
-                      Var "d";
-                    ] ) ) );
-  }
-
-let xfer_fn i =
-  let open Fdsl.Ast in
-  let p_src = fam i and p_dst = fam ((i + 1) mod n_families) in
-  {
-    fn_name = Printf.sprintf "xfer%d" i;
-    params = [ "src"; "dst" ];
-    body =
-      Compute
-        ( 1.0,
-          Let
-            ( "s",
-              Read (key p_src "src"),
-              Let
-                ( "d",
-                  Read (key p_dst "dst"),
-                  Seq
-                    [
-                      Write (key p_src "src", Binop (Sub, Var "s", Int 1L));
-                      Write (key p_dst "dst", Binop (Add, Var "d", Int 1L));
-                      Var "d";
-                    ] ) ) );
-  }
-
 let funcs =
-  List.init n_families pay_fn @ List.init n_families xfer_fn
+  List.init n_families (fun i ->
+      Harness.transfer (Printf.sprintf "pay%d" i) ~src:(fam i) ~dst:(fam i))
+  @ List.init n_families (fun i ->
+        Harness.transfer (Printf.sprintf "xfer%d" i) ~src:(fam i)
+          ~dst:(fam ((i + 1) mod n_families)))
 
 let seed_data =
   List.concat_map
@@ -110,144 +57,72 @@ let append_cost = 1.0
 (* --- one sweep cell --------------------------------------------------- *)
 
 type cell = {
-  c_shards : int;
-  c_cross_frac : float;
-  c_offered : float;
-  c_achieved : float;
-  c_median : float;
-  c_p99 : float;
-  c_requests : int;
-  c_errors : int;
-  c_cross : int; (* coordinated cross-shard requests, summed *)
-  c_cross_aborts : int;
-  c_prepares : int; (* participant slices prepared, summed *)
+  shards : int;
+  cross_frac : float;
+  offered : float;
+  load : Harness.load;
+  servers : Server.stats list; (* one per shard *)
 }
 
-let run_cell ?(seed = 42) ?(trace = false) ~shards ~cross_frac ~rate
-    ~duration () =
-  let engine = Engine.create ~seed () in
-  let out = ref None in
-  let traced = ref None in
-  Engine.run engine (fun () ->
-      let rng = Engine.rng () in
-      let net = Transport.create ~jitter_sigma:0.05 ~rng:(Rng.split rng) () in
-      let tracer = if trace then Tracer.create () else Tracer.noop in
-      let config =
+let run_cell ~seed ?tracer ~shards ~cross_frac ~rate ~duration () =
+  let config =
+    {
+      Framework.default_config with
+      server =
         {
-          Framework.default_config with
-          server =
-            {
-              Server.default_config with
-              mode = Server.Replicated { az_rtt = 1.5 };
-              batching = { Server.no_batching with append_cost };
-            };
-          sharding = Some (strategy shards);
-        }
-      in
-      let fw = Framework.create ~config ~tracer ~net ~funcs ~data:seed_data () in
+          Server.default_config with
+          mode = Server.Replicated { az_rtt = 1.5 };
+          batching = { Server.no_batching with append_cost };
+        };
+      sharding = Some (strategy shards);
+    }
+  in
+  Harness.deploy ~seed ?tracer ~config ~funcs ~data:seed_data
+    (fun ~rng ~fw ->
       Engine.sleep 800.0 (* raft warm-up, one cluster per shard *);
-      let sites = Framework.locations fw in
-      let n_sites = List.length sites in
-      let wrng = Rng.split rng in
-      let lat = Stats.create () in
-      let errors = ref 0 in
-      let t0 = Engine.now () in
-      let t_last = ref t0 in
-      let n =
-        Workload.Driver.run_open ~rate ~duration ~rng:(Rng.split rng)
-          (fun ~arrival ->
-            let from = List.nth sites (arrival mod n_sites) in
+      let load =
+        Harness.open_loop ~rng ~fw ~rate ~duration (fun wrng ->
             let family = Rng.int wrng n_families in
             let cross = Rng.float wrng 1.0 < cross_frac in
             let fn =
               Printf.sprintf (if cross then "xfer%d" else "pay%d") family
             in
             let src = Rng.int wrng n_accounts in
-            let dst = (src + 1 + Rng.int wrng (n_accounts - 1)) mod n_accounts in
-            let args =
-              [
-                Dval.Str (Printf.sprintf "a%d" src);
-                Dval.Str (Printf.sprintf "a%d" dst);
-              ]
-            in
-            let o = Framework.invoke fw ~from fn args in
-            if Result.is_error o.Radical.Runtime.value then incr errors;
-            Stats.add lat o.latency;
-            t_last := Float.max !t_last (Engine.now ()))
+            (fn, Harness.transfer_args wrng ~n:n_accounts src))
       in
-      let cross, aborts, prepares =
-        List.fold_left
-          (fun (c, a, p) s ->
-            let st = Server.stats s in
-            ( c + st.cross_requests,
-              a + st.cross_aborts,
-              p + st.shard_prepares ))
-          (0, 0, 0) (Framework.servers fw)
-      in
-      Framework.stop fw;
-      if trace then traced := Some tracer;
-      let elapsed_s = Float.max 1e-9 ((!t_last -. t0) /. 1000.0) in
-      out :=
-        Some
-          {
-            c_shards = shards;
-            c_cross_frac = cross_frac;
-            c_offered = rate;
-            c_achieved = float_of_int n /. elapsed_s;
-            c_median = Stats.median lat;
-            c_p99 = Stats.p99 lat;
-            c_requests = n;
-            c_errors = !errors;
-            c_cross = cross;
-            c_cross_aborts = aborts;
-            c_prepares = prepares;
-          });
-  match !out with Some c -> (c, !traced) | None -> assert false
+      let servers = List.map Server.stats (Framework.servers fw) in
+      { shards; cross_frac; offered = rate; load; servers })
 
 (* --- the sweep -------------------------------------------------------- *)
 
-let rate_label r = Printf.sprintf "%.0f/s" r
+let load c = c.load
+let median = Harness.median load
+let p99 = Harness.p99 load
+let achieved = Harness.achieved load
 
-(* Highest offered rate before the latency knee (median within 2x the
-   shard count's own lowest-rate median) — same saturation criterion as
-   the batching sweep. *)
-let peak_sustainable cells =
-  match cells with
-  | [] -> 0.0
-  | first :: _ ->
-      let base = first.c_median in
-      List.fold_left
-        (fun acc c ->
-          if c.c_median <= 2.0 *. base then Float.max acc c.c_offered else acc)
-        0.0 cells
+(* A server counter summed over the shards. *)
+let summed head get =
+  Harness.int head (fun c ->
+      List.fold_left (fun acc s -> acc + get s) 0 c.servers)
 
-let print_cells cells =
-  Table.print
-    ~header:
-      [
-        "shards"; "cross"; "offered"; "achieved"; "median"; "p99"; "req";
-        "err"; "x-reqs"; "x-aborts"; "prepares";
-      ]
-    ~rows:
-      (List.map
-         (fun c ->
-           [
-             string_of_int c.c_shards;
-             Printf.sprintf "%.0f%%" (100.0 *. c.c_cross_frac);
-             rate_label c.c_offered;
-             Printf.sprintf "%.0f/s" c.c_achieved;
-             Table.ms c.c_median;
-             Table.ms c.c_p99;
-             string_of_int c.c_requests;
-             string_of_int c.c_errors;
-             string_of_int c.c_cross;
-             string_of_int c.c_cross_aborts;
-             string_of_int c.c_prepares;
-           ])
-         cells)
+let columns =
+  [
+    Harness.int "shards" (fun c -> c.shards);
+    Harness.column "cross" (fun c ->
+        Printf.sprintf "%.0f%%" (100.0 *. c.cross_frac));
+    Harness.column "offered" (fun c -> Harness.rate_label c.offered);
+    achieved;
+    median;
+    p99;
+    Harness.requests load;
+    Harness.errors load;
+    summed "x-reqs" (fun s -> s.cross_requests);
+    summed "x-aborts" (fun s -> s.cross_aborts);
+    summed "prepares" (fun s -> s.shard_prepares);
+  ]
 
 let run ?(scale = 1.0) ?(seed = 42) () =
-  heading
+  Harness.heading
     (Printf.sprintf
        "Shard scaling sweep — prefix-sharded LVI service, analyzer-routed\n\
         single-shard payments vs. cross-shard transfers, open-loop Poisson\n\
@@ -256,50 +131,55 @@ let run ?(scale = 1.0) ?(seed = 42) () =
   let duration = 250.0 *. scale in
   let rates = [ 200.0; 400.0; 800.0; 1600.0 ] in
   let shard_counts = [ 1; 2; 4 ] in
+  let mix_rate = 400.0 in
 
   Printf.printf
     "\n-- disjoint workload (0%% cross-shard): shard-count scaling --\n";
   let disjoint =
-    List.map
+    List.concat_map
       (fun shards ->
-        ( shards,
-          List.map
-            (fun rate ->
-              fst
-                (run_cell ~seed ~shards ~cross_frac:0.0 ~rate ~duration ()))
-            rates ))
+        List.map
+          (fun rate ->
+            run_cell ~seed ~shards ~cross_frac:0.0 ~rate ~duration ())
+          rates)
       shard_counts
   in
-  print_cells (List.concat_map snd disjoint);
+  Harness.table columns disjoint;
   Printf.printf
     "\npeak sustainable throughput (highest offered rate with median\n\
      within 2x the shard count's lowest-rate median):\n";
-  let peak shards = peak_sustainable (List.assoc shards disjoint) in
+  let peak shards =
+    Harness.peak_sustainable
+      (List.filter_map
+         (fun c ->
+           if c.shards = shards then Some (c.offered, Stats.median c.load.lat)
+           else None)
+         disjoint)
+  in
   List.iter
     (fun s -> Printf.printf "  %d shard%s  %.0f req/s\n" s
         (if s = 1 then " " else "s") (peak s))
     shard_counts;
 
   Printf.printf "\n-- cross-shard mix at 4 shards, %s offered --\n"
-    (rate_label 400.0);
+    (Harness.rate_label mix_rate);
+  (* The 0% row is the disjoint sweep's own 4-shard cell at this rate —
+     the run is deterministic, so it is reused rather than repeated. *)
   let mixed =
-    List.map
-      (fun cross_frac ->
-        fst
-          (run_cell ~seed ~shards:4 ~cross_frac ~rate:400.0 ~duration ()))
-      [ 0.0; 0.1; 0.5 ]
+    List.find (fun c -> c.shards = 4 && c.offered = mix_rate) disjoint
+    :: List.map
+         (fun cross_frac ->
+           run_cell ~seed ~shards:4 ~cross_frac ~rate:mix_rate ~duration ())
+         [ 0.1; 0.5 ]
   in
-  print_cells mixed;
+  Harness.table columns mixed;
 
   (* Traced disjoint cell: a statically single-shard function must keep
      the unchanged one-round-trip protocol — no shard_prepare phase may
      appear anywhere in its traces. *)
-  let cell, tracer =
-    run_cell ~seed ~trace:true ~shards:4 ~cross_frac:0.0 ~rate:200.0
-      ~duration ()
-  in
-  ignore cell;
-  let tracer = Option.get tracer in
+  let tracer = Tracer.create () in
+  ignore
+    (run_cell ~seed ~tracer ~shards:4 ~cross_frac:0.0 ~rate:200.0 ~duration ());
   let prepare_phases =
     List.filter
       (fun ((_, phase, _), _) -> phase = "shard_prepare")
@@ -313,36 +193,22 @@ let run ?(scale = 1.0) ?(seed = 42) () =
     (Tracer.shard_stats tracer);
 
   let p1 = peak 1 and p4 = peak 4 in
-  let scaling_ok = p4 >= 3.0 *. p1 in
-  let one_rtt_ok = prepare_phases = [] in
-  Printf.printf
-    "\nacceptance:\n\
-    \  peak 4 shards vs 1: %.0f vs %.0f req/s  -> %s\n\
-    \  single-shard fns one round trip (no shard_prepare phases): %s\n"
-    p4 p1
-    (if scaling_ok then "OK (>= 3x)" else "FAIL (< 3x)")
-    (if one_rtt_ok then "OK" else "FAIL");
-
-  List.concat_map
-    (fun (shards, cells) ->
-      List.concat_map
-        (fun c ->
-          let p = Printf.sprintf "shard.s%d.r%.0f" shards c.c_offered in
-          [
-            (p ^ ".median_ms", c.c_median);
-            (p ^ ".p99_ms", c.c_p99);
-            (p ^ ".achieved_rps", c.c_achieved);
-          ])
-        cells)
-    disjoint
-  @ List.map
-      (fun c ->
-        ( Printf.sprintf "shard.mix.x%.0f.median_ms" (100.0 *. c.c_cross_frac),
-          c.c_median ))
-      mixed
+  let verdicts =
+    Harness.accept ~exp:"shard" "shard scaling"
+      [
+        Harness.check "scaling" (p4 >= 3.0 *. p1)
+          "peak 4 shards >= 3x 1 shard: %.0f vs %.0f req/s" p4 p1;
+        Harness.check "one_rtt" (prepare_phases = [])
+          "single-shard fns one round trip (no shard_prepare phases)";
+      ]
+  in
+  Harness.measurements
+    ~prefix:(fun c -> Printf.sprintf "shard.s%d.r%.0f" c.shards c.offered)
+    [ median; p99; achieved ] disjoint
+  @ Harness.measurements
+      ~prefix:(fun c ->
+        Printf.sprintf "shard.mix.x%.0f" (100.0 *. c.cross_frac))
+      [ median ] mixed
   @ List.map (fun s -> (Printf.sprintf "shard.peak.s%d_rps" s, peak s))
       shard_counts
-  @ [
-      ("shard.accept.scaling", if scaling_ok then 1.0 else 0.0);
-      ("shard.accept.one_rtt", if one_rtt_ok then 1.0 else 0.0);
-    ]
+  @ verdicts

@@ -25,9 +25,7 @@
     1-shard peak, and zero [shard_prepare] phases on the disjoint
     workload. *)
 
-type measurement = string * float
-
-val run : ?scale:float -> ?seed:int -> unit -> measurement list
+val run : ?scale:float -> ?seed:int -> unit -> Harness.measurement list
 (** [scale] multiplies the 250 ms per-cell load window ([make check]
     smoke-runs at [--scale 1]; the acceptance run uses the default
     bench scale 5). *)

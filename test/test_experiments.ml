@@ -282,9 +282,48 @@ let prop_speculation_preserves_semantics =
       (* ...and agree with the plain execution bit for bit. *)
       && radical_value = plain_value)
 
+(* --- Harness ----------------------------------------------------------- *)
+
+module Harness = Experiments.Harness
+
+let test_peak_sustainable () =
+  let peak = Harness.peak_sustainable in
+  Alcotest.(check (float 0.0)) "no cells" 0.0 (peak []);
+  (* Medians stay within 2x the 100/s base (inclusive) up to 400/s. *)
+  Alcotest.(check (float 0.0)) "knee at the third rate" 400.0
+    (peak
+       [ (100.0, 10.0); (200.0, 12.0); (400.0, 20.0); (800.0, 45.0);
+         (1600.0, 300.0) ]);
+  Alcotest.(check (float 0.0)) "collapsed above the base" 100.0
+    (peak [ (100.0, 10.0); (200.0, 20.5); (400.0, 60.0); (800.0, 500.0) ])
+
+let test_acceptance_verdicts () =
+  let ms =
+    Harness.accept ~exp:"t" "unit"
+      [
+        Harness.check "holds" true "1 < 2";
+        Harness.check "breaks" false "2 < 1";
+      ]
+  in
+  Alcotest.(check (list (pair string (float 0.0))))
+    "rendered as <exp>.accept.<name>"
+    [ ("t.accept.holds", 1.0); ("t.accept.breaks", 0.0) ]
+    ms;
+  Alcotest.(check (list string)) "the failing predicate is reported"
+    [ "t.accept.breaks" ]
+    (Harness.failed (("t.median_ms", 0.0) :: ms));
+  Alcotest.(check (list string)) "all OK" []
+    (Harness.failed [ ("t.accept.holds", 1.0); ("t.accept.ratio", 0.77) ])
+
 let () =
   Alcotest.run "experiments"
     [
+      ( "harness",
+        [
+          Alcotest.test_case "peak sustainable" `Quick test_peak_sustainable;
+          Alcotest.test_case "acceptance verdicts" `Quick
+            test_acceptance_verdicts;
+        ] );
       ( "traces",
         [
           Alcotest.test_case "generate deterministic" `Quick

@@ -146,7 +146,7 @@ let test_settle_by_expiry_wait () =
       Alcotest.(check (list (list string))) "holder never contacted" []
         !received;
       Alcotest.(check (float 1e-6)) "slept to expiry + skew"
-        (grant.Proto.lg_until +. Server_config.default_leases.skew)
+        (grant.Proto.lg_until +. Lease_authority.skew)
         (Engine.now ());
       Alcotest.(check int) "lease dead" 0
         (Lease.live t.lease_tbl ~now:(Engine.now ())))
