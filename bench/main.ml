@@ -59,6 +59,10 @@ let micro () =
           writes = [ ("x", Dval.int (i + 1)) ];
         })
   in
+  (* Setup cost on its own: a warm deployment of the social app over its
+     seed, as every run of the experiments and the chaos campaign pays. *)
+  let social = Experiments.Bundle.social in
+  let social_data = social.seed (Sim.Rng.create 1) in
   let tests =
     Test.make_grouped ~name:"micro" ~fmt:"%s/%s"
       [
@@ -94,6 +98,15 @@ let micro () =
           (Staged.stage (fun () -> ignore (Sim.Rng.bits64 rng)));
         Test.make ~name:"lincheck-8ops"
           (Staged.stage (fun () -> ignore (Lincheck.check lin_history)));
+        Test.make ~name:"framework-create-social"
+          (Staged.stage (fun () ->
+               Sim.Engine.run (Sim.Engine.create ~seed:1 ()) (fun () ->
+                   let net =
+                     Net.Transport.create ~rng:(Sim.Rng.split (Sim.Engine.rng ())) ()
+                   in
+                   Radical.Framework.stop
+                     (Radical.Framework.create ~net ~funcs:social.funcs
+                        ~data:social_data ()))));
         Test.make ~name:"pqueue-push-pop-64"
           (Staged.stage (fun () ->
                let q = Sim.Pqueue.create ~cmp:Int.compare in

@@ -1,41 +1,19 @@
-type entry = { value : Dval.t; version : int }
+type entry = Store.Kv.versioned = { value : Dval.t; version : int }
 
 type t = {
   items : (string, entry) Hashtbl.t;
-  stamps : (string, int) Hashtbl.t; (* LRU recency, keyed like items *)
   latency : float;
-  capacity : int option;
-  mutable clock : int;
   mutable hits : int;
   mutable misses : int;
-  mutable evictions : int;
 }
 
-let create ?(access_latency = 0.5) ?capacity () =
-  (match capacity with
-  | Some c when c <= 0 -> invalid_arg "Cache.create: capacity must be positive"
-  | _ -> ());
-  {
-    items = Hashtbl.create 1024;
-    stamps = Hashtbl.create 1024;
-    latency = access_latency;
-    capacity;
-    clock = 0;
-    hits = 0;
-    misses = 0;
-    evictions = 0;
-  }
-
-let touch t key =
-  t.clock <- t.clock + 1;
-  Hashtbl.replace t.stamps key t.clock
-
-let find t key =
-  match Hashtbl.find_opt t.items key with
-  | Some e ->
-      touch t key;
-      Some e
-  | None -> None
+let create ?(access_latency = 0.5) ?warm () =
+  let items =
+    match warm with
+    | Some kv -> Store.Kv.copy_items kv
+    | None -> Hashtbl.create 1024
+  in
+  { items; latency = access_latency; hits = 0; misses = 0 }
 
 let record t = function
   | Some _ as r ->
@@ -47,11 +25,11 @@ let record t = function
 
 let get t key =
   Sim.Engine.sleep t.latency;
-  record t (find t key)
+  record t (Hashtbl.find_opt t.items key)
 
 let get_many t keys =
   Sim.Engine.sleep t.latency;
-  List.map (fun k -> (k, record t (find t k))) keys
+  List.map (fun k -> (k, record t (Hashtbl.find_opt t.items k))) keys
 
 let version_of t key =
   match Hashtbl.find_opt t.items key with
@@ -60,39 +38,10 @@ let version_of t key =
 
 let peek t key = Hashtbl.find_opt t.items key
 
-(* Evict the least recently used entry. O(n); fine at cache sizes the
-   simulation uses, and only runs when a capacity is configured. *)
-let evict_one t =
-  let victim = ref None in
-  Hashtbl.iter
-    (fun k stamp ->
-      match !victim with
-      | Some (_, best) when best <= stamp -> ()
-      | _ -> victim := Some (k, stamp))
-    t.stamps;
-  match !victim with
-  | Some (k, _) ->
-      Hashtbl.remove t.items k;
-      Hashtbl.remove t.stamps k;
-      t.evictions <- t.evictions + 1
-  | None -> ()
-
 let update t key value ~version =
   match Hashtbl.find_opt t.items key with
-  | Some existing when existing.version >= version ->
-      (* Rejected (stale or duplicate) deliveries must not touch the
-         LRU stamp: promoting a stale duplicate to MRU would get
-         genuinely fresh keys evicted first under capacity. *)
-      ()
-  | Some _ | None ->
-      (match t.capacity with
-      | Some cap
-        when (not (Hashtbl.mem t.items key)) && Hashtbl.length t.items >= cap
-        ->
-          evict_one t
-      | _ -> ());
-      Hashtbl.replace t.items key { value; version };
-      touch t key
+  | Some existing when existing.version >= version -> ()
+  | Some _ | None -> Hashtbl.replace t.items key { value; version }
 
 (* Version-guarded eviction for invalidation-mode propagation: only an
    entry strictly older than the invalidating write is dropped, so a
@@ -102,21 +51,16 @@ let invalidate t key ~version =
   match Hashtbl.find_opt t.items key with
   | Some existing when existing.version < version ->
       Hashtbl.remove t.items key;
-      Hashtbl.remove t.stamps key;
       true
   | Some _ | None -> false
 
-let wipe t =
-  Hashtbl.reset t.items;
-  Hashtbl.reset t.stamps
+let wipe t = Hashtbl.reset t.items
 
 let size t = Hashtbl.length t.items
 
 let hits t = t.hits
 
 let misses t = t.misses
-
-let evictions t = t.evictions
 
 let snapshot t =
   Hashtbl.fold (fun k { value; version } acc -> (k, value, version) :: acc) t.items []

@@ -7,17 +7,20 @@
     fresh value — so a wiped cache repopulates itself through normal
     protocol traffic ("gradual bootstrap"). *)
 
-type entry = { value : Dval.t; version : int }
+type entry = Store.Kv.versioned = { value : Dval.t; version : int }
+(** The primary's record type, so a warm cache can share the primary's
+    (immutable) records instead of re-building them. *)
 
 type t
 
-val create : ?access_latency:float -> ?capacity:int -> unit -> t
+val create : ?access_latency:float -> ?warm:Store.Kv.t -> unit -> t
 (** Default access latency 0.5 ms — an in-memory store colocated with
     the runtime (the paper uses DynamoDB here only to isolate protocol
     effects; §5.7 notes ScyllaDB/`in-memory` caches are the intended
-    deployment). [capacity] bounds the entry count with LRU eviction;
-    evicted keys simply become misses and are repaired by the next LVI
-    response, like any other cold entry. Unbounded by default. *)
+    deployment). With [warm], the cache starts as a copy of that
+    store's current items at their current versions; later writes to
+    the store or the cache do not show through to the other. Cold
+    (empty) by default. *)
 
 val get : t -> string -> entry option
 (** Blocking read; [None] on miss. *)
@@ -30,15 +33,14 @@ val version_of : t -> string -> int
     miss marker. *)
 
 val peek : t -> string -> entry option
-(** Latency-free read that touches no hit/miss counter or LRU stamp.
+(** Latency-free read that touches no hit/miss counter.
     Used to capture the (value, version) snapshot that a speculation
     executes against — see [Runtime.invoke]. *)
 
 val update : t -> string -> Dval.t -> version:int -> unit
 (** Install a (value, version) pair if newer than what is cached.
-    Latency-free: updates ride on protocol responses. A rejected
-    (stale or duplicate) install leaves the LRU stamp untouched, so
-    replayed deliveries cannot promote cold entries over fresh ones. *)
+    Latency-free: updates ride on protocol responses. A stale or
+    duplicate install is a no-op. *)
 
 val invalidate : t -> string -> version:int -> bool
 (** [invalidate t key ~version] evicts [key] if the cached entry is
@@ -56,8 +58,6 @@ val size : t -> int
 val hits : t -> int
 
 val misses : t -> int
-
-val evictions : t -> int
 
 val snapshot : t -> (string * Dval.t * int) list
 (** Dump (key, value, version) triples — the persistent-cache extension

@@ -41,8 +41,7 @@ let find reg fn =
 
 let centralized ?(invoke_overhead = 12.0) ~net ~funcs ~data () =
   let reg = make_registry funcs in
-  let kv = Kv.create () in
-  Kv.load kv data;
+  let kv = Kv.of_list data in
   let svc =
     Transport.serve net ~loc:Location.near_storage ~name:"baseline-app"
       (fun (fn, args) ->
@@ -53,14 +52,7 @@ let centralized ?(invoke_overhead = 12.0) ~net ~funcs ~data () =
 
 let local ?(invoke_overhead = 12.0) ~locations ~funcs ~data () =
   let reg = make_registry funcs in
-  let sites =
-    List.map
-      (fun loc ->
-        let kv = Kv.create () in
-        Kv.load kv data;
-        (loc, kv))
-      locations
-  in
+  let sites = List.map (fun loc -> (loc, Kv.of_list data)) locations in
   let primary_kv =
     match List.assoc_opt Location.near_storage sites with
     | Some kv -> kv
@@ -71,20 +63,17 @@ let local ?(invoke_overhead = 12.0) ~locations ~funcs ~data () =
 let geo_replicated ?(invoke_overhead = 12.0) ~replicas ~locations:_ ~funcs
     ~data () =
   let reg = make_registry funcs in
-  let kv = Kv.create () in
-  Kv.load kv data;
+  let kv = Kv.of_list data in
   { kind = Geo { replicas; kv }; reg; invoke_overhead; primary_kv = kv }
 
 let naive_edge ?(invoke_overhead = 12.0) ~funcs ~data () =
   let reg = make_registry funcs in
-  let kv = Kv.create () in
-  Kv.load kv data;
+  let kv = Kv.of_list data in
   { kind = Naive_edge kv; reg; invoke_overhead; primary_kv = kv }
 
 let validate_per_read ?(invoke_overhead = 12.0) ~funcs ~data () =
   let reg = make_registry funcs in
-  let kv = Kv.create () in
-  Kv.load kv data;
+  let kv = Kv.of_list data in
   { kind = Validate_per_read kv; reg; invoke_overhead; primary_kv = kv }
 
 (* Strongly consistent geo-replicated storage: each operation reaches

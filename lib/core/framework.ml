@@ -68,8 +68,7 @@ let create ?(config = default_config) ?schema ?(manual = [])
       | Ok _ -> ()
       | Error e -> invalid_arg ("Framework.create: " ^ e))
     funcs;
-  let kv = Store.Kv.create () in
-  Store.Kv.load kv data;
+  let kv = Store.Kv.of_list data in
   let extsvc = Extsvc.create () in
   if Metrics.Tracer.enabled tracer then Net.Transport.set_tracer net tracer;
   (* Sharded deployment: N independent LVI servers over the one shared
@@ -106,17 +105,11 @@ let create ?(config = default_config) ?schema ?(manual = [])
   let sites =
     List.map
       (fun loc ->
-        let cache = Cache.create ~access_latency:config.cache_latency () in
-        if config.warm_caches then
-          List.iter
-            (fun (k, v) ->
-              let version =
-                match Store.Kv.peek kv k with
-                | Some { version; _ } -> version
-                | None -> 0
-              in
-              Cache.update cache k v ~version)
-            data;
+        let cache =
+          Cache.create ~access_latency:config.cache_latency
+            ?warm:(if config.warm_caches then Some kv else None)
+            ()
+        in
         let rt =
           Runtime.create ~extsvc ~tracer ?sharding ~net ~registry:reg ~cache
             ~server:srv

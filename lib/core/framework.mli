@@ -31,8 +31,9 @@ type config = {
       (** Piggyback buffered followups on the next outgoing LVI request
           ({!Runtime.config.fu_piggyback}); off by default. *)
   warm_caches : bool;
-      (** Pre-populate near-user caches with the seed data (the paper's
-          persistent caches); [false] exercises gradual bootstrap. *)
+      (** Start each near-user cache as a copy of the freshly seeded
+          primary (the paper's persistent caches); [false] exercises
+          gradual bootstrap. *)
   cache_latency : float;
       (** Per-access latency of the near-user cache. The default 6.0 ms
           models the paper's DynamoDB-as-cache evaluation setup (§5.2);

@@ -54,8 +54,7 @@ let table2 ?(seed = 42) () =
   let meds = ref [] in
   Engine.run engine (fun () ->
       let net = Transport.create ~jitter_sigma:0.05 ~rng:(Rng.split (Engine.rng ())) () in
-      let kv = Store.Kv.create () in
-      Store.Kv.load kv [ ("ping", Dval.Unit) ];
+      let kv = Store.Kv.of_list [ ("ping", Dval.Unit) ] in
       let svc =
         Transport.serve net ~loc:Location.va ~name:"storage-ping" (fun () ->
             ignore (Store.Kv.version_of kv "ping"))
@@ -99,8 +98,7 @@ let measured_exec_ms ?(seed = 42) (info : Apps.Catalog.info) =
         List.find (fun (a : Bundle.app) -> a.name = info.app) Bundle.evaluated
       in
       let data = app.seed (Rng.split rng) in
-      let kv = Store.Kv.create ~access_latency:6.0 () in
-      Store.Kv.load kv data;
+      let kv = Store.Kv.of_list ~access_latency:6.0 data in
       let reg = Radical.Registry.create () in
       List.iter
         (fun f -> ignore (Radical.Registry.register reg f))

@@ -12,7 +12,7 @@ type status = Pending | Completed
 
 val create : ?access_latency:float -> unit -> t
 (** Intents live in DynamoDB in the paper, so the default latency matches
-    [Kv.create]'s 6.0 ms. *)
+    [Kv.of_list]'s 6.0 ms. *)
 
 val put : t -> exec_id:string -> bool
 (** Create a pending intent if none exists — a conditional put-if-absent.

@@ -7,9 +7,6 @@ type t = {
   mutable writes : int;
 }
 
-let create ?(access_latency = 6.0) () =
-  { items = Hashtbl.create 1024; latency = access_latency; reads = 0; writes = 0 }
-
 let access_latency t = t.latency
 
 let pay t = Sim.Engine.sleep t.latency
@@ -74,7 +71,19 @@ let versions_of t keys =
   t.reads <- t.reads + List.length keys;
   List.map (fun k -> (k, version_peek t k)) keys
 
-let load t kvs = List.iter (fun (k, v) -> ignore (bump t k v)) kvs
+let of_list ?(access_latency = 6.0) kvs =
+  let t =
+    {
+      items = Hashtbl.create (List.length kvs);
+      latency = access_latency;
+      reads = 0;
+      writes = 0;
+    }
+  in
+  List.iter (fun (k, v) -> ignore (bump t k v)) kvs;
+  t
+
+let copy_items t = Hashtbl.copy t.items
 
 let size t = Hashtbl.length t.items
 

@@ -11,9 +11,12 @@ type t
 
 type versioned = { value : Dval.t; version : int }
 
-val create : ?access_latency:float -> unit -> t
-(** Default access latency is 6.0 ms, chosen so that an in-region
-    storage ping (1 ms network RTT + access) reproduces Table 2's 7 ms. *)
+val of_list : ?access_latency:float -> (string * Dval.t) list -> t
+(** A store seeded with [kvs] in one pass, without advancing time, in a
+    table sized to the seed. Each key's version is the number of times
+    [kvs] lists it (1 unless repeated); the last value wins. Default
+    access latency is 6.0 ms, chosen so that an in-region storage ping
+    (1 ms network RTT + access) reproduces Table 2's 7 ms. *)
 
 val access_latency : t -> float
 
@@ -43,9 +46,11 @@ val versions_of : t -> string list -> (string * int) list
 
 val peek : t -> string -> versioned option
 
-val load : t -> (string * Dval.t) list -> unit
-(** Seed data without advancing time; versions are set to 1 (or bumped if
-    present). *)
+val copy_items : t -> (string, versioned) Hashtbl.t
+(** A fresh table holding the store's current items. The [versioned]
+    records are immutable and shared; the table is not, so writes to
+    either side never show through. Warm near-user caches start from
+    this. *)
 
 val size : t -> int
 

@@ -41,47 +41,6 @@ let test_get_latency () =
       ignore (Cache.get_many c [ "a"; "b"; "c" ]);
       Alcotest.(check (float 1e-9)) "batch pays once" 0.5 (Engine.now () -. t1))
 
-let test_lru_eviction () =
-  run_sim (fun () ->
-      let c = Cache.create ~capacity:3 () in
-      Cache.update c "a" Dval.Unit ~version:1;
-      Cache.update c "b" Dval.Unit ~version:1;
-      Cache.update c "c" Dval.Unit ~version:1;
-      (* Touch a and c so b is the least recently used. *)
-      ignore (Cache.get c "a");
-      ignore (Cache.get c "c");
-      Cache.update c "d" Dval.Unit ~version:1;
-      Alcotest.(check int) "capacity respected" 3 (Cache.size c);
-      Alcotest.(check int) "one eviction" 1 (Cache.evictions c);
-      Alcotest.(check int) "b evicted" (-1) (Cache.version_of c "b");
-      Alcotest.(check bool) "a survived" true (Cache.version_of c "a" = 1);
-      Alcotest.(check bool) "d present" true (Cache.version_of c "d" = 1))
-
-let test_lru_update_existing_never_evicts () =
-  run_sim (fun () ->
-      let c = Cache.create ~capacity:2 () in
-      Cache.update c "a" Dval.Unit ~version:1;
-      Cache.update c "b" Dval.Unit ~version:1;
-      Cache.update c "a" Dval.Unit ~version:2;
-      Alcotest.(check int) "no eviction on in-place update" 0 (Cache.evictions c);
-      Alcotest.(check int) "both present" 2 (Cache.size c))
-
-(* Regression: a rejected stale update used to refresh the key's LRU
-   stamp anyway, so a replayed (old) delivery could promote a cold
-   entry over fresh ones and get the wrong key evicted. Here "a" is
-   the LRU victim; the stale update on it must not save it. *)
-let test_stale_update_does_not_touch_lru () =
-  run_sim (fun () ->
-      let c = Cache.create ~capacity:2 () in
-      Cache.update c "a" Dval.Unit ~version:5;
-      Cache.update c "b" Dval.Unit ~version:1;
-      (* Stale replay of "a": rejected, and must leave "a" least
-         recently used. *)
-      Cache.update c "a" Dval.Unit ~version:2;
-      Cache.update c "cnew" Dval.Unit ~version:1;
-      Alcotest.(check int) "a evicted, not b" (-1) (Cache.version_of c "a");
-      Alcotest.(check bool) "b survived" true (Cache.version_of c "b" = 1))
-
 let test_invalidate () =
   run_sim (fun () ->
       let c = Cache.create () in
@@ -98,11 +57,6 @@ let test_invalidate () =
       Alcotest.(check int) "now a miss" (-1) (Cache.version_of c "x");
       Alcotest.(check bool) "miss is a no-op" false
         (Cache.invalidate c "x" ~version:9))
-
-let test_capacity_validation () =
-  Alcotest.check_raises "zero capacity"
-    (Invalid_argument "Cache.create: capacity must be positive") (fun () ->
-      ignore (Cache.create ~capacity:0 ()))
 
 let test_wipe () =
   run_sim (fun () ->
@@ -125,12 +79,6 @@ let () =
             test_stale_update_ignored;
           Alcotest.test_case "get latency" `Quick test_get_latency;
           Alcotest.test_case "wipe" `Quick test_wipe;
-          Alcotest.test_case "lru eviction" `Quick test_lru_eviction;
-          Alcotest.test_case "update never evicts in place" `Quick
-            test_lru_update_existing_never_evicts;
-          Alcotest.test_case "stale update leaves lru stamp" `Quick
-            test_stale_update_does_not_touch_lru;
           Alcotest.test_case "invalidate version guard" `Quick test_invalidate;
-          Alcotest.test_case "capacity validated" `Quick test_capacity_validation;
         ] );
     ]

@@ -193,8 +193,7 @@ let test_manual_rw_registration () =
       let net =
         Transport.create ~jitter_sigma:0.0 ~rng:(Rng.split (Engine.rng ())) ()
       in
-      let kv = Kv.create () in
-      Kv.load kv [ ("profile:bob", Dval.Str "bob's profile") ];
+      let kv = Kv.of_list [ ("profile:bob", Dval.Str "bob's profile") ] in
       let srv = Server.create ~net ~registry:reg ~kv Server.default_config in
       let cache = Cache.create () in
       Cache.update cache "profile:bob" (Dval.Str "bob's profile") ~version:1;

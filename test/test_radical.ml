@@ -243,6 +243,61 @@ let test_cache_wipe_recovers () =
       let o3 = Framework.invoke fw ~from:Location.ca "get" [ Dval.Str "x" ] in
       check_path "recovered" Runtime.Speculative o3)
 
+let entry =
+  Alcotest.testable
+    (fun fmt (e : Kv.versioned) ->
+      Format.fprintf fmt "%s@v%d" (Dval.to_string e.value) e.version)
+    (fun (a : Kv.versioned) b -> Dval.equal a.value b.value && a.version = b.version)
+
+let site_entries fw key =
+  List.map
+    (fun loc -> Cache.peek (Runtime.cache (Framework.runtime fw loc)) key)
+    (Framework.locations fw)
+
+(* Regression: a seed that lists a key twice used to warm every cache
+   with the first value at the primary's final version (the second
+   install was rejected as a same-version duplicate), so the caches
+   disagreed with the primary right after [create]. *)
+let test_duplicate_seed_key_warms_coherently () =
+  let data = [ ("x", Dval.Str "a"); ("x", Dval.Str "b") ] in
+  with_radical ~data (fun _ fw ->
+      let primary = Kv.peek (Framework.primary fw) "x" in
+      Alcotest.(check (option entry)) "primary keeps the last value"
+        (Some { Kv.value = Dval.Str "b"; version = 2 })
+        primary;
+      Alcotest.(check int) "caches coherent" 0
+        (List.length (Chaos.Oracle.caches_coherent fw));
+      List.iter
+        (Alcotest.(check (option entry)) "site mirrors primary" primary)
+        (site_entries fw "x"))
+
+(* Each warm cache is its own copy: a write at the primary, an install
+   at one site and a wipe at another leave every other cache as it was
+   after [create]. *)
+let test_warm_caches_do_not_alias () =
+  with_radical (fun _ fw ->
+      let seeded = Kv.peek (Framework.primary fw) "x" in
+      let cache loc = Runtime.cache (Framework.runtime fw loc) in
+      let others except =
+        List.filter (fun l -> not (List.mem l except)) (Framework.locations fw)
+      in
+      let unchanged ~what except =
+        List.iter
+          (fun loc ->
+            Alcotest.(check (option entry))
+              (Printf.sprintf "%s leaves %s" what loc)
+              seeded
+              (Cache.peek (cache loc) "x"))
+          (others except)
+      in
+      ignore (Kv.put (Framework.primary fw) "x" (Dval.Str "p"));
+      unchanged ~what:"primary put" [];
+      Cache.update (cache Location.ca) "x" (Dval.Str "c") ~version:9;
+      unchanged ~what:"install at CA" [ Location.ca ];
+      Cache.wipe (cache Location.jp);
+      Alcotest.(check int) "JP wiped" 0 (Cache.size (cache Location.jp));
+      unchanged ~what:"wipe at JP" [ Location.ca; Location.jp ])
+
 let test_fallback_for_unanalyzable () =
   with_radical (fun _ fw ->
       let o = Framework.invoke fw ~from:Location.de "mystery" [] in
@@ -758,6 +813,10 @@ let () =
           Alcotest.test_case "cold cache bootstrap" `Quick
             test_cold_cache_bootstrap;
           Alcotest.test_case "cache wipe recovers" `Quick test_cache_wipe_recovers;
+          Alcotest.test_case "duplicate seed key warms coherently" `Quick
+            test_duplicate_seed_key_warms_coherently;
+          Alcotest.test_case "warm caches do not alias" `Quick
+            test_warm_caches_do_not_alias;
           Alcotest.test_case "unanalyzable fallback" `Quick
             test_fallback_for_unanalyzable;
           Alcotest.test_case "prediction failure falls back" `Quick

@@ -28,8 +28,7 @@ let bare_state ?(config = Server_config.default_config) ?(data = []) () =
   let net =
     Transport.create ~jitter_sigma:0.0 ~rng:(Rng.split (Engine.rng ())) ()
   in
-  let kv = Kv.create () in
-  Kv.load kv data;
+  let kv = Kv.of_list data in
   let t =
     Server_state.create ~net ~registry:(Radical.Registry.create ()) ~kv
       ~extsvc:(Radical.Extsvc.create ())

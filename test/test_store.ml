@@ -16,13 +16,13 @@ let v s = Dval.Str s
 
 let test_kv_get_absent () =
   run_sim (fun () ->
-      let kv = Store.Kv.create () in
+      let kv = Store.Kv.of_list [] in
       Alcotest.(check bool) "absent" true (Store.Kv.get kv "x" = None);
       Alcotest.(check int) "version 0" 0 (Store.Kv.version_of kv "x"))
 
 let test_kv_versions_increment () =
   run_sim (fun () ->
-      let kv = Store.Kv.create () in
+      let kv = Store.Kv.of_list [] in
       Alcotest.(check int) "v1" 1 (Store.Kv.put kv "x" (v "a"));
       Alcotest.(check int) "v2" 2 (Store.Kv.put kv "x" (v "b"));
       Alcotest.(check int) "v3" 3 (Store.Kv.put kv "x" (v "c"));
@@ -34,7 +34,7 @@ let test_kv_versions_increment () =
 
 let test_kv_access_latency () =
   run_sim (fun () ->
-      let kv = Store.Kv.create ~access_latency:6.0 () in
+      let kv = Store.Kv.of_list ~access_latency:6.0 [] in
       let t0 = Engine.now () in
       ignore (Store.Kv.get kv "x");
       check_float "get pays latency" 6.0 (Engine.now () -. t0);
@@ -44,7 +44,7 @@ let test_kv_access_latency () =
 
 let test_kv_put_if_version () =
   run_sim (fun () ->
-      let kv = Store.Kv.create () in
+      let kv = Store.Kv.of_list [] in
       Alcotest.(check bool) "cond create ok" true
         (Store.Kv.put_if_version kv "x" (v "a") ~expected:0);
       Alcotest.(check bool) "stale expected fails" false
@@ -55,9 +55,8 @@ let test_kv_put_if_version () =
 
 let test_kv_load_and_counters () =
   run_sim (fun () ->
-      let kv = Store.Kv.create () in
       let t0 = Engine.now () in
-      Store.Kv.load kv [ ("a", v "1"); ("b", v "2") ];
+      let kv = Store.Kv.of_list [ ("a", v "1"); ("b", v "2") ] in
       check_float "load free" t0 (Engine.now ());
       Alcotest.(check int) "size" 2 (Store.Kv.size kv);
       ignore (Store.Kv.get kv "a");
@@ -68,15 +67,15 @@ let test_kv_load_and_counters () =
 
 let test_kv_versions_of () =
   run_sim (fun () ->
-      let kv = Store.Kv.create () in
-      Store.Kv.load kv [ ("a", v "1") ];
+      let kv = Store.Kv.of_list [ ("a", v "1") ] in
       Alcotest.(check (list (pair string int))) "batch versions"
         [ ("a", 1); ("zz", 0) ]
         (Store.Kv.versions_of kv [ "a"; "zz" ]))
 
-(* Version monotonicity: under any interleaving of put / put_if_version /
-   load, each key's observable version never decreases, and every
-   successful write strictly increases it. *)
+(* Version monotonicity: from any seed (keys may repeat) and under any
+   interleaving of put / put_if_version, each key starts at the number
+   of times the seed lists it, its observable version never decreases,
+   and every successful write strictly increases it. *)
 let prop_kv_versions_monotonic =
   let op_gen =
     QCheck.Gen.(
@@ -86,19 +85,28 @@ let prop_kv_versions_monotonic =
           map3
             (fun k v e -> `Put_if (k, v, e))
             (int_range 0 4) small_nat (int_range 0 6);
-          map2 (fun k v -> `Load (k, v)) (int_range 0 4) small_nat;
         ])
   in
+  let seed_gen = QCheck.Gen.(list_size (0 -- 8) (pair (int_range 0 4) small_nat)) in
   QCheck.Test.make ~name:"kv versions are monotonic" ~count:100
-    QCheck.(make Gen.(list_size (1 -- 40) op_gen))
-    (fun ops ->
+    QCheck.(make Gen.(pair seed_gen (list_size (1 -- 40) op_gen)))
+    (fun (seeded, ops) ->
       let e = Engine.create ~seed:7 () in
       let ok = ref true in
       Engine.run e (fun () ->
-          let kv = Store.Kv.create ~access_latency:0.0 () in
           let key i = Printf.sprintf "k%d" i in
+          let kv =
+            Store.Kv.of_list ~access_latency:0.0
+              (List.map (fun (k, v) -> (key k, Dval.int v)) seeded)
+          in
           let last = Hashtbl.create 8 in
           let seen k = try Hashtbl.find last k with Not_found -> 0 in
+          List.iter
+            (fun (k, _) -> Hashtbl.replace last (key k) (seen (key k) + 1))
+            seeded;
+          Hashtbl.iter
+            (fun k n -> ok := !ok && Store.Kv.version_of kv k = n)
+            last;
           let observe k v' ~wrote =
             if wrote then ok := !ok && v' > seen k
             else ok := !ok && v' >= seen k;
@@ -115,11 +123,7 @@ let prop_kv_versions_monotonic =
                   let wrote =
                     Store.Kv.put_if_version kv k (Dval.int v) ~expected
                   in
-                  observe k (Store.Kv.version_of kv k) ~wrote
-              | `Load (k, v) ->
-                  let k = key k in
-                  Store.Kv.load kv [ (k, Dval.int v) ];
-                  observe k (Store.Kv.version_of kv k) ~wrote:true)
+                  observe k (Store.Kv.version_of kv k) ~wrote)
             ops;
           (* Final cross-check: versions_of agrees with the tracked maxima. *)
           Hashtbl.iter
