@@ -12,11 +12,13 @@ test:
 
 # Every table and figure of the paper, at the paper's request volume.
 bench:
-	dune exec bench/main.exe
+	dune exec bin/radical_cli.exe -- experiments --scale 5
+	dune exec bin/radical_cli.exe -- micro
 
 # Quick 2k-request variant of the evaluation.
 quick:
-	dune exec bench/main.exe -- --scale 1
+	dune exec bin/radical_cli.exe -- experiments --scale 1
+	dune exec bin/radical_cli.exe -- micro
 
 # Whole-catalog static analysis: golden-file check of `radical_cli
 # analyze` (classifications, conflict matrices, lock-order hazards,
@@ -24,7 +26,7 @@ quick:
 # raw vs. optimized, read-only fast-path latency ablation).
 analyze:
 	dune build @analyze
-	dune exec bench/main.exe -- --scale 1 analyze
+	dune exec bin/radical_cli.exe -- experiments --scale 1 analyze
 
 # Bytecode effect certification: golden-file check of `radical_cli
 # certify` — the whole catalog's compiled modules re-analyzed by the
@@ -39,14 +41,14 @@ certify:
 # batched-vs-unbatched acceptance verdict. Full volume; `make check`
 # smoke-tests the same sweep at --scale 1.
 batch:
-	dune exec bench/main.exe -- batch
+	dune exec bin/radical_cli.exe -- experiments --scale 5 batch
 
 # Cache-update propagation experiment: multi-site shared-key workload
 # with propagation off / Nagle window sweep / invalidate-only; prints
 # the on-vs-off acceptance verdict (speculation success up, median
 # latency down). Full volume; `make check` smoke-tests at --scale 1.
 propagate:
-	dune exec bench/main.exe -- propagate
+	dune exec bin/radical_cli.exe -- experiments --scale 5 propagate
 
 # Shard scaling sweep: prefix-disjoint key families over 1/2/4 LVI
 # shards, peak sustainable throughput per shard count, a cross-shard
@@ -54,14 +56,14 @@ propagate:
 # acceptance verdicts. Full volume; `make check` smoke-tests at
 # --scale 1.
 shard:
-	dune exec bench/main.exe -- shard
+	dune exec bin/radical_cli.exe -- experiments --scale 5 shard
 
 # Read-lease experiment: read-heavy zipf mix with leases off / on
 # (revocation) / on (expiry-wait only); prints the >=40% read-only
 # median reduction acceptance verdict and writes BENCH_lease.json.
 # Full volume; `make check` smoke-tests at --scale 1.
 lease:
-	dune exec bench/main.exe -- --json lease
+	dune exec bin/radical_cli.exe -- experiments --scale 5 --json lease
 
 # CI gate: full build (the dev profile's -warn-error +a makes any
 # compiler warning fail the build), the formatting check (skipped when
@@ -70,35 +72,36 @@ lease:
 # traced bench run that exercises the
 # per-phase JSON breakdown end to end, the batching load sweep, the
 # propagation experiment, the shard scaling sweep and the read-lease
-# experiment at smoke scale (each fails the gate — bench/main.exe exits
-# 1 — when any of its acceptance verdicts prints FAIL; `dune runtest`
-# already pins their scale-1 measurements against
+# experiment at smoke scale (each fails the gate — `radical_cli
+# experiments` exits 1 — when any of its acceptance verdicts prints
+# FAIL; `dune runtest` already pins their scale-1 measurements against
 # test/golden_experiments.expected), then three 20-seed chaos smoke
 # campaigns:
 # one with every batching knob and cache-update propagation on, one
 # with the LVI service hash-sharded 4 ways so the shard-chaos template
 # attacks the cross-shard commit under the cross-atomicity oracle, and
 # one with read leases on so the lease-chaos template attacks the
-# revocation channel (see `bench/main.exe chaos --help` for the knobs).
+# revocation channel (see `radical_cli chaos --help` for the knobs);
+# each exits 2 on a violation.
 check:
 	dune build @all
 	$(MAKE) fmt-check
 	dune runtest --force
 	$(MAKE) analyze
 	$(MAKE) certify
-	dune exec bench/main.exe -- --scale 1 phases
-	dune exec bench/main.exe -- --scale 1 batch
-	dune exec bench/main.exe -- --scale 1 propagate
-	dune exec bench/main.exe -- --scale 1 shard
-	dune exec bench/main.exe -- --scale 1 lease
-	dune exec bench/main.exe -- chaos --seeds 20 --batching --propagation
-	dune exec bench/main.exe -- chaos --seeds 20 --shards 4
-	dune exec bench/main.exe -- chaos --seeds 20 --leases
+	dune exec bin/radical_cli.exe -- experiments --scale 1 phases
+	dune exec bin/radical_cli.exe -- experiments --scale 1 batch
+	dune exec bin/radical_cli.exe -- experiments --scale 1 propagate
+	dune exec bin/radical_cli.exe -- experiments --scale 1 shard
+	dune exec bin/radical_cli.exe -- experiments --scale 1 lease
+	dune exec bin/radical_cli.exe -- chaos --seeds 20 --batching --propagation
+	dune exec bin/radical_cli.exe -- chaos --seeds 20 --shards 4
+	dune exec bin/radical_cli.exe -- chaos --seeds 20 --leases
 
 # Full 50-seeds-per-cell chaos campaign (~200 sweep runs) plus the
 # protocol-mutation demo; the acceptance run behind EXPERIMENTS.md.
 chaos:
-	dune exec bench/main.exe -- chaos
+	dune exec bin/radical_cli.exe -- chaos --seeds 50
 
 # Reformat the tree in place per .ocamlformat. Gated on the tool being
 # installed: the pinned container image ships the compiler toolchain

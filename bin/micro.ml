@@ -1,13 +1,6 @@
-(* Benchmark front-end: runs the targets of Experiments.Targets (every
-   table and figure of the paper's evaluation and the load sweeps, see
-   DESIGN.md's experiment index), the chaos campaign, and Bechamel
-   microbenchmarks of the core primitives.
+(* Bechamel microbenchmarks of the core primitives: `radical_cli micro`. *)
 
-     dune exec bench/main.exe                 # everything at paper volume
-     dune exec bench/main.exe -- fig4         # one experiment
-     dune exec bench/main.exe -- --scale 1 fig4   # quick 2k-request run *)
-
-let micro () =
+let run () =
   Experiments.Harness.heading
     "Microbenchmarks (Bechamel) — core primitive costs";
   let open Bechamel in
@@ -145,110 +138,3 @@ let micro () =
       Metrics.Table.print ~header:[ "benchmark"; "time/run" ]
         ~rows:(List.sort compare !rows))
     results
-
-(* Flags, set by the command line below. *)
-let scale = ref 5.0 (* reproduces the paper's 10,000 requests per deployment *)
-let seeds = ref 50
-let batching = ref false
-let propagation = ref false
-let leases = ref false
-let json = ref false
-let shards = ref 1
-
-let targets =
-  Experiments.Targets.all ()
-  @ [
-      Experiments.Targets.v "chaos"
-        "fault-plan campaign over {social,forum} x {singleton,replicated}"
-        (fun _ ->
-          let violations =
-            Experiments.Chaos_exp.run ~seeds:!seeds ~batching:!batching
-              ~propagation:!propagation ~leases:!leases ~shards:!shards ()
-          in
-          if violations > 0 then exit 2;
-          []);
-      Experiments.Targets.v "micro"
-        "Bechamel microbenchmarks of core primitives" (fun _ ->
-          micro ();
-          []);
-    ]
-
-let usage () =
-  print_string
-    ("usage: main.exe [--scale F] [--seeds N] [--shards N] [--batching]\n\
-     \       [--propagation] [--leases] [--json] [TARGET...]\n\
-      (no target: all, then micro)\n"
-    ^ Experiments.Targets.usage targets
-    ^ "  --scale F      multiply request volume (default 5, the paper's 10k)\n\
-      \  --json         also write each experiment's measurements as\n\
-      \                 BENCH_<target>.json\n\
-      \  chaos only: --seeds N per grid cell (default 50); --batching,\n\
-      \  --propagation, --leases and --shards N turn the matching feature on\n\
-      \  in every cell, and its chaos template attacks it.\n\
-      exit status: 1 when an acceptance verdict fails, 2 on chaos\n\
-      violations.\n");
-  exit 1
-
-let () =
-  let switches =
-    [
-      ("--batching", batching);
-      ("--propagation", propagation);
-      ("--leases", leases);
-      ("--json", json);
-    ]
-  in
-  let positive r of_string zero v =
-    match of_string v with Some x when x > zero -> r := x | _ -> usage ()
-  in
-  let rec parse = function
-    | [] -> []
-    | s :: rest when List.mem_assoc s switches ->
-        List.assoc s switches := true;
-        parse rest
-    | "--scale" :: v :: rest ->
-        positive scale float_of_string_opt 0.0 v;
-        parse rest
-    | "--seeds" :: v :: rest ->
-        positive seeds int_of_string_opt 0 v;
-        parse rest
-    | "--shards" :: v :: rest ->
-        positive shards int_of_string_opt 0 v;
-        parse rest
-    | name :: rest -> (
-        match
-          List.find_opt (fun t -> t.Experiments.Targets.name = name) targets
-        with
-        | Some t -> t :: parse rest
-        | None -> usage ())
-  in
-  let selected =
-    match parse (List.tl (Array.to_list Sys.argv)) with
-    | [] ->
-        List.filter
-          (fun t -> List.mem t.Experiments.Targets.name [ "all"; "micro" ])
-          targets
-    | selected -> selected
-  in
-  let failed =
-    List.concat_map
-      (fun (t : Experiments.Targets.t) ->
-        let ms = t.run !scale in
-        if !json && ms <> [] then begin
-          let config =
-            [
-              ("scale", Printf.sprintf "%g" !scale);
-              ("seeds", string_of_int !seeds);
-              ("shards", string_of_int !shards);
-            ]
-          in
-          Printf.printf "wrote %s\n"
-            (Experiments.Runner.write_json ~experiment:t.name ~config ms)
-        end;
-        Experiments.Harness.failed ms)
-      selected
-  in
-  if failed <> [] then begin
-    prerr_endline ("acceptance failed: " ^ String.concat ", " failed);
-    exit 1
-  end

@@ -1,8 +1,13 @@
-(* Command-line interface to the Radical reproduction.
+(* Command-line interface to the Radical reproduction, and its only
+   front-end for the experiments.
 
-     radical_cli experiments [TARGETS] [--scale F]
+     radical_cli experiments [TARGETS] [--scale F] [--json]
          any target of Experiments.Targets: the paper's tables and
          figures (default: all), analyze and the load sweeps
+     radical_cli chaos [--seeds N] [--app APP] ...
+         the fault-plan campaign
+     radical_cli micro
+         Bechamel microbenchmarks of the core primitives
      radical_cli run --app APP --system SYS [--requests N] [--seed N]
          one deployment run with a latency summary
      radical_cli inspect FUNCTION
@@ -37,34 +42,60 @@ let setup_logs verbose =
 let verbose_arg =
   Arg.(value & flag & info [ "verbose"; "v" ] ~doc:"Print protocol-event logs.")
 
+(* [conv] restricted to values above [zero]: a zero seed count or scale
+   would make a gate pass on an empty run. *)
+let positive conv zero =
+  let parse s =
+    match Arg.conv_parser conv s with
+    | Ok x when x > zero -> Ok x
+    | Ok _ -> Error (`Msg (Printf.sprintf "%S is not positive" s))
+    | Error _ as e -> e
+  in
+  Arg.conv (parse, Arg.conv_printer conv)
 
 let experiments_cmd =
   let targets = Experiments.Targets.all () in
+  let names = "all" :: List.map (fun t -> t.Experiments.Targets.name) targets in
   let targets_arg =
     Arg.(value
-         & pos_all
-             (enum
-                (List.map (fun t -> (t.Experiments.Targets.name, t)) targets))
-             [ List.hd targets ]
+         & pos_all (enum (List.map (fun n -> (n, n)) names)) [ "all" ]
          & info [] ~docv:"TARGET" ~doc:"Targets to run (see $(b,TARGETS)).")
   in
   let scale =
-    Arg.(value & opt float 1.0 & info [ "scale" ] ~docv:"F"
+    Arg.(value & opt (positive float 0.0) 1.0 & info [ "scale" ] ~docv:"F"
            ~doc:"Multiply request volume (5.0 reproduces the paper's 10k).")
   in
-  let run targets scale =
-    let ms =
-      List.concat_map (fun t -> t.Experiments.Targets.run scale) targets
+  let json =
+    Arg.(value & flag & info [ "json" ]
+           ~doc:"Also write each target's measurements to \
+                 $(b,BENCH_)$(i,TARGET)$(b,.json) in the working directory.")
+  in
+  let run names scale json =
+    let failed =
+      List.concat_map
+        (fun (t : Experiments.Targets.t) ->
+          let ms = t.run scale in
+          if json && ms <> [] then
+            Printf.printf "wrote %s\n"
+              (Experiments.Runner.write_json ~experiment:t.name
+                 ~config:[ ("scale", Printf.sprintf "%g" scale) ]
+                 ms);
+          Experiments.Harness.failed ms)
+        (Experiments.Targets.expand targets names)
     in
-    if Experiments.Harness.failed ms <> [] then exit 1
+    if failed <> [] then begin
+      prerr_endline ("acceptance failed: " ^ String.concat ", " failed);
+      exit 1
+    end
   in
   Cmd.v
     (Cmd.info "experiments"
        ~doc:"Regenerate the paper's tables and figures and the load sweeps"
        ~man:
          (`S "TARGETS"
+         :: `I ("all", "every table and figure, in paper order")
          :: List.map (fun t -> `I (t.Experiments.Targets.name, t.doc)) targets))
-    Term.(const run $ targets_arg $ scale)
+    Term.(const run $ targets_arg $ scale $ json)
 
 let apps =
   [
@@ -499,7 +530,7 @@ let timeline_cmd =
 
 let chaos_cmd =
   let seeds =
-    Arg.(value & opt int 20 & info [ "seeds" ] ~docv:"N"
+    Arg.(value & opt (positive int 0) 20 & info [ "seeds" ] ~docv:"N"
            ~doc:"Seeds to sweep (per app/mode cell when no --app is given).")
   in
   let app_arg =
@@ -543,87 +574,40 @@ let chaos_cmd =
                  reproduction.")
   in
   let shards_arg =
-    Arg.(value & opt int 1 & info [ "shards" ] ~docv:"N"
+    Arg.(value & opt (positive int 0) 1 & info [ "shards" ] ~docv:"N"
            ~doc:"Hash-shard the LVI service N ways: multi-key functions \
                  then cross shards, the shard-chaos template attacks the \
                  commit protocol, and the cross-atomicity oracle judges \
                  the quiescent state.")
   in
-  (* Cross-shard commit timing knobs (Server.tuning), exposed so a
-     sweep can shrink or stretch the prepare/decide timeouts relative
-     to the fault templates' delay distributions. Defaults are the
-     production values. *)
-  let dt = Radical.Server.default_tuning in
-  let try_prepare_timeout =
-    Arg.(value & opt float dt.try_prepare_timeout
-         & info [ "try-prepare-timeout" ] ~docv:"MS"
-             ~doc:"Cross-shard commit: per-shard timeout of the \
-                   non-blocking first prepare round.")
+  let batching =
+    Arg.(value & flag & info [ "batching" ]
+           ~doc:"Every batching knob on: Raft group commit, lock-record \
+                 flush, conflict-aware admission and followup \
+                 coalescing.")
   in
-  let blocking_prepare_timeout =
-    Arg.(value & opt float dt.blocking_prepare_timeout
-         & info [ "blocking-prepare-timeout" ] ~docv:"MS"
-             ~doc:"Cross-shard commit: per-attempt timeout of the \
-                   blocking ascending-order prepare fallback.")
-  in
-  let blocking_prepare_attempts =
-    Arg.(value & opt int dt.blocking_prepare_attempts
-         & info [ "blocking-prepare-attempts" ] ~docv:"N"
-             ~doc:"Cross-shard commit: blocking prepare attempts before \
-                   the coordinator aborts the request.")
-  in
-  let decide_timeout =
-    Arg.(value & opt float dt.decide_timeout
-         & info [ "decide-timeout" ] ~docv:"MS"
-             ~doc:"Cross-shard commit: per-call timeout of a decision \
-                   delivery to a prepared shard.")
-  in
-  let decide_retry_backoff =
-    Arg.(value & opt float dt.decide_retry_backoff
-         & info [ "decide-retry-backoff" ] ~docv:"MS"
-             ~doc:"Cross-shard commit: pause between decision-delivery \
-                   retries.")
-  in
-  let decide_retries =
-    Arg.(value & opt int dt.decide_retries
-         & info [ "decide-retries" ] ~docv:"N"
-             ~doc:"Cross-shard commit: decision-delivery attempts per \
-                   shard before giving up (the shard's own intent timer \
-                   then resolves the orphan).")
-  in
-  let tuning_term =
-    let mk try_prepare_timeout blocking_prepare_timeout
-        blocking_prepare_attempts decide_timeout decide_retry_backoff
-        decide_retries =
-      {
-        Radical.Server.try_prepare_timeout;
-        blocking_prepare_timeout;
-        blocking_prepare_attempts;
-        decide_timeout;
-        decide_retry_backoff;
-        decide_retries;
-      }
-    in
-    Term.(const mk $ try_prepare_timeout $ blocking_prepare_timeout
-          $ blocking_prepare_attempts $ decide_timeout
-          $ decide_retry_backoff $ decide_retries)
-  in
-  let run verbose seeds app replicated propagation leases template mutate
-      shards tuning =
+  let run verbose seeds app replicated batching propagation leases template
+      mutate shards =
     setup_logs verbose;
     match app with
+    | None when replicated || mutate || template <> None ->
+        `Error (true, "--replicated, --template and --mutate need --app")
     | None ->
-        if Experiments.Chaos_exp.run ~seeds ~propagation ~leases ~shards () > 0
-        then exit 2
+        if
+          Experiments.Chaos_exp.run ~seeds ~batching ~propagation ~leases
+            ~shards ()
+          > 0
+        then exit 2;
+        `Ok ()
     | Some bundle ->
         let config =
           {
             Chaos.Campaign.default_config with
             replicated;
+            batching;
             propagation;
             leases;
             shards;
-            tuning;
             mutation =
               (if mutate then Some Radical.Server.Skip_reexecution else None);
           }
@@ -647,15 +631,23 @@ let chaos_cmd =
             in
             Format.printf "minimal reproduction (seed %d):@.%a@."
               c.Chaos.Campaign.c_seed Chaos.Plan.pp shrunk;
-            if not mutate then exit 2)
+            if not mutate then exit 2);
+        `Ok ()
   in
   Cmd.v
     (Cmd.info "chaos"
        ~doc:"Sweep fault plans against live deployments and judge the \
              survivors with the invariant oracle")
-    Term.(const run $ verbose_arg $ seeds $ app_arg $ replicated
-          $ propagation $ leases_arg $ template_arg $ mutate $ shards_arg
-          $ tuning_term)
+    Term.(ret
+            (const run $ verbose_arg $ seeds $ app_arg $ replicated
+            $ batching $ propagation $ leases_arg $ template_arg $ mutate
+            $ shards_arg))
+
+let micro_cmd =
+  Cmd.v
+    (Cmd.info "micro"
+       ~doc:"Bechamel microbenchmarks of the core primitives")
+    Term.(const Micro.run $ const ())
 
 let analyze_cmd =
   let run () = print_string (Apps.Report.render ()) in
@@ -688,5 +680,5 @@ let () =
           [
             experiments_cmd; run_cmd; inspect_cmd; check_cmd; analyze_cmd;
             certify_cmd; timeline_cmd; trace_cmd; trace_gen_cmd;
-            trace_replay_cmd; chaos_cmd;
+            trace_replay_cmd; chaos_cmd; micro_cmd;
           ]))

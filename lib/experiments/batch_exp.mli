@@ -1,4 +1,4 @@
-(** Batching load sweep ([bench/main.exe batch]).
+(** Batching load sweep ([radical_cli experiments batch]).
 
     Open-loop Poisson load over a synthetic mixed workload (two-account
     payments, wall posts, read-only wall reads) against the LVI server

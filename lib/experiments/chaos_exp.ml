@@ -13,8 +13,7 @@ let of_bundle (b : Bundle.app) =
 
 let grid = [ Bundle.social; Bundle.forum ]
 
-let campaign ?(seeds = 50) ?(progress = true) ?(batching = false)
-    ?(propagation = false) ?(leases = false) ?(shards = 1) () =
+let campaign ~seeds ~batching ~propagation ~leases ~shards =
   List.concat_map
     (fun bundle ->
       List.map
@@ -39,7 +38,7 @@ let campaign ?(seeds = 50) ?(progress = true) ?(batching = false)
           in
           let last = ref 0 in
           let on_progress ~done_ ~total =
-            if progress && (done_ - !last >= 20 || done_ = total) then begin
+            if done_ - !last >= 20 || done_ = total then begin
               last := done_;
               Printf.printf "  %s: %d/%d runs\r%!" label done_ total;
               if done_ = total then print_newline ()
@@ -75,7 +74,8 @@ let noisy_mutation_plan =
     Plan.event ~at:2500.0 (Plan.Wipe_cache Net.Location.ca);
   ]
 
-let demo_mutation ?(seed = 7) () =
+let demo_mutation () =
+  let seed = 7 in
   let config =
     {
       Campaign.default_config with
@@ -97,7 +97,7 @@ let demo_mutation ?(seed = 7) () =
   let shrunk = Campaign.shrink ~config ~seed app original in
   Format.printf "shrunk to %d event(s):@.%a@." (List.length shrunk) Plan.pp
     shrunk;
-  (original, shrunk)
+  shrunk
 
 let run ?(seeds = 50) ?(batching = false) ?(propagation = false)
     ?(leases = false) ?(shards = 1) () =
@@ -112,7 +112,7 @@ let run ?(seeds = 50) ?(batching = false) ?(propagation = false)
     seeds
     (String.concat ", "
        (List.map (fun (t : Plan.template) -> t.t_name) Plan.default_templates));
-  let reports = campaign ~seeds ~batching ~propagation ~leases ~shards () in
+  let reports = campaign ~seeds ~batching ~propagation ~leases ~shards in
   let violations = ref 0 in
   List.iter
     (fun r ->
@@ -122,7 +122,7 @@ let run ?(seeds = 50) ?(batching = false) ?(propagation = false)
     reports;
   print_newline ();
   print_endline "-- oracle teeth: deliberate protocol mutation --";
-  let _original, shrunk = demo_mutation () in
+  let shrunk = demo_mutation () in
   (if List.length shrunk >= List.length noisy_mutation_plan then begin
      incr violations;
      print_endline "ERROR: shrinking failed to reduce the mutation plan"

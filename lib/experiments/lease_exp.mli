@@ -1,4 +1,4 @@
-(** Read-lease experiment ([bench/main.exe lease]).
+(** Read-lease experiment ([radical_cli experiments lease]).
 
     Read-heavy workload (95% reads, 5% updates — {!Workload.Mix.read_heavy})
     over a pool of zipf(0.99) items from five user sites. The variants

@@ -1,4 +1,4 @@
-(** Cache-update propagation experiment ([bench/main.exe propagate]).
+(** Cache-update propagation experiment ([radical_cli experiments propagate]).
 
     Multi-site workload over a small pool of shared walls (30% posts,
     70% reads from five user sites). A post from one site leaves every

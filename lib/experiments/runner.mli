@@ -71,7 +71,7 @@ val write_json :
 (** Write an experiment's measurement list as
     [<dir>/BENCH_<experiment>.json] (default [dir] the working
     directory) — the machine-readable output behind
-    [bench/main.exe --json], tracking medians/p99/throughput across
-    revisions. [config] records the run parameters (scale, seed, …) as
+    [radical_cli experiments --json], tracking medians/p99/throughput
+    across revisions. [config] records the run parameters (scale, seed, …) as
     string pairs; non-finite measurement values serialize as [null].
     Returns the written path. *)

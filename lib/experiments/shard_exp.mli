@@ -1,4 +1,4 @@
-(** Shard scaling sweep ([bench/main.exe shard]).
+(** Shard scaling sweep ([radical_cli experiments shard]).
 
     Open-loop Poisson load over eight prefix-disjoint key families
     ("f<i>:bal:*") against the sharded LVI service. Each family has a

@@ -1,21 +1,24 @@
-(** The experiment targets both front-ends dispatch on
-    ([bench/main.exe] and [radical_cli experiments]). *)
+(** The experiment targets [radical_cli experiments] dispatches on. *)
 
 type t = {
   name : string;
-  doc : string;  (** One line, shown in usage text. *)
+  doc : string;  (** One line, shown in the [--help] text. *)
+  figure : bool;
+      (** A table or figure of the paper's evaluation: what the ["all"]
+          alias stands for. *)
   run : float -> Harness.measurement list;
       (** Print the experiment at the given request-volume scale and
           return its measurements. *)
 }
 
-val v : string -> string -> (float -> Harness.measurement list) -> t
-(** [v name doc run]. *)
-
 val all : unit -> t list
-(** Every figure, table and sweep, in presentation order, starting with
-    ["all"] (every figure and table). Figures 4-6 share one data
-    collection per scale within a list. *)
+(** Every target in presentation order: the tables and figures in paper
+    order, then [analyze] and the load sweeps. Figures 4-6 share one
+    data collection per scale within a list. *)
 
-val usage : t list -> string
-(** One aligned ["  name  doc"] line per target. *)
+val expand : t list -> string list -> t list
+(** [expand targets names] resolves command-line names in order, where
+    ["all"] stands for every [figure] target in list order; a target
+    named more than once runs once, at its first position. Raises
+    [Invalid_argument] on a name that is neither ["all"] nor in
+    [targets]. *)

@@ -5,6 +5,7 @@
 
 module Runner = Experiments.Runner
 module Bundle = Experiments.Bundle
+module Targets = Experiments.Targets
 module Location = Net.Location
 
 let small sys app = Runner.run ~requests_per_client:10 sys app
@@ -315,11 +316,40 @@ let test_acceptance_verdicts () =
   Alcotest.(check (list string)) "all OK" []
     (Harness.failed [ ("t.accept.holds", 1.0); ("t.accept.ratio", 0.77) ])
 
+(* The "all" alias stands for the paper's tables and figures, in paper
+   order, each run once so each writes its own BENCH file. *)
+let test_targets_all_expansion () =
+  let targets = Targets.all () in
+  let names ns =
+    List.map (fun t -> t.Targets.name) (Targets.expand targets ns)
+  in
+  let figures =
+    [
+      "fig1"; "table1"; "table2"; "fig4"; "fig5"; "fig6"; "repl"; "cost";
+      "sensitivity"; "skew"; "throughput"; "bootstrap"; "ablation"; "phases";
+    ]
+  in
+  Alcotest.(check (list string)) "all = figures in paper order" figures
+    (names [ "all" ]);
+  Alcotest.(check (list string)) "no duplicates, first position kept"
+    ("lease" :: figures)
+    (names [ "lease"; "all"; "fig4"; "all"; "lease" ]);
+  Alcotest.(check (list string)) "sweeps stay out of all"
+    [ "analyze"; "batch"; "propagate"; "lease"; "shard" ]
+    (List.filter_map
+       (fun t -> if t.Targets.figure then None else Some t.Targets.name)
+       targets);
+  Alcotest.check_raises "unknown name"
+    (Invalid_argument "Targets.expand: unknown target fig9") (fun () ->
+      ignore (Targets.expand targets [ "fig9" ]))
+
 let () =
   Alcotest.run "experiments"
     [
       ( "harness",
         [
+          Alcotest.test_case "targets all expansion" `Quick
+            test_targets_all_expansion;
           Alcotest.test_case "peak sustainable" `Quick test_peak_sustainable;
           Alcotest.test_case "acceptance verdicts" `Quick
             test_acceptance_verdicts;
